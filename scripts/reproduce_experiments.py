@@ -3,8 +3,10 @@
 
 For each ``configs/*.cfg`` this runs the full simulation, writes
 ``<out-dir>/<name>.csv``, and prints a one-line summary comparing the
-combined alpha against the model prediction.  The heavier scenarios take a
-minute or two each on a single core; ``--only`` selects a subset by name.
+combined alpha against the model prediction.  On a 2-core VM the whole set
+takes about 80 s: thermal_bunched_short ~40 s, pdc_sweep ~22 s,
+thermal_bunched_long ~13 s, the rest 2 s or less each.  ``--only`` selects
+a subset by name.
 """
 
 from __future__ import annotations

@@ -13,6 +13,15 @@ this order:
 
 Each stage draws from its own derived substream, so changing e.g. the dark
 rate does not perturb which photons were kept.
+
+Arrivals generated on gate segments (see ``coincsim.sources``) carry the
+count of arrivals outside them.  The detector thins that count with one
+binomial draw and places dark counts on the same segments, counting the
+ones outside; the output's ``unplaced`` holds both counts, so
+``len(events) + events.unplaced`` keeps its whole-acquisition distribution.
+This is exact only without jitter and dead time (either lets an event
+outside the segments move or suppress one inside), so such detectors reject
+segmented arrivals.
 """
 
 from __future__ import annotations
@@ -50,6 +59,12 @@ class DetectorConfig:
 def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventStream:
     """Apply a detector to photon arrivals, producing events on its channel."""
     duration = arrivals.duration_ps
+    segments = arrivals.segments
+    if not segments.is_whole and (config.dead_time_ps > 0 or config.jitter_sigma_ps > 0):
+        raise ConfigError(
+            f"detector on {config.channel.name} has dead time or jitter; it needs "
+            "arrivals on the whole interval, not on gate segments"
+        )
     n = len(arrivals)
 
     if config.efficiency >= 1.0:
@@ -68,8 +83,13 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
         np.clip(kept, 0, duration - 1, out=kept)
         kept.sort()
 
-    dark = _poisson_times(
-        np.random.default_rng(derive_seed(seed, "dark")), config.dark_rate_hz, duration
+    kept_outside = arrivals.unplaced
+    if kept_outside and config.efficiency < 1.0:
+        thin_outside = np.random.default_rng(derive_seed(seed, "thin-outside"))
+        kept_outside = int(thin_outside.binomial(kept_outside, config.efficiency))
+
+    dark, dark_outside = _poisson_times(
+        np.random.default_rng(derive_seed(seed, "dark")), config.dark_rate_hz, segments
     )
 
     if len(dark) == 0:
@@ -84,4 +104,4 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
         merged = filter_min_separation(merged, config.dead_time_ps)
 
     codes = np.full(len(merged), int(config.channel), dtype=np.uint8)
-    return EventStream(duration, merged, codes)
+    return EventStream(duration, merged, codes, kept_outside + dark_outside)

@@ -65,16 +65,21 @@ class EventStream:
 
     ``times`` and ``channels`` are parallel arrays.  The arrays are marked
     read-only on construction; ordering/range invariants are the producer's
-    responsibility (see :func:`validate_stream`).
+    responsibility (see :func:`validate_stream`).  ``unplaced`` counts events
+    of the acquisition that a detector only counted, because they fell outside
+    the segments its arrivals were generated on (see ``coincsim.sources``).
     """
 
     duration_ps: int
     times: np.ndarray
     channels: np.ndarray
+    unplaced: int = 0
 
     def __post_init__(self) -> None:
         if self.duration_ps <= 0:
             raise ValueError("duration_ps must be positive")
+        if self.unplaced < 0:
+            raise ValueError("unplaced must be >= 0")
         t = _as_times(self.times)
         c = _as_codes(self.channels, len(t))
         t.setflags(write=False)
@@ -92,6 +97,7 @@ class EventStream:
             self.duration_ps == other.duration_ps
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.channels, other.channels)
+            and self.unplaced == other.unplaced
         )
 
     @classmethod
@@ -107,6 +113,8 @@ class EventStream:
 
     def select_channel(self, channel: Channel) -> "EventStream":
         """Sub-stream containing only events on one channel (order kept)."""
+        if self.unplaced:
+            raise ValueError("unplaced events carry no channel and cannot be selected")
         mask = self.channels == np.uint8(int(channel))
         return EventStream(self.duration_ps, self.times[mask], self.channels[mask])
 
@@ -124,7 +132,7 @@ def merge_streams(a: EventStream, b: EventStream) -> EventStream:
     times = np.concatenate([a.times, b.times])
     codes = np.concatenate([a.channels, b.channels])
     order = np.lexsort((codes, times))
-    return EventStream(a.duration_ps, times[order], codes[order])
+    return EventStream(a.duration_ps, times[order], codes[order], a.unplaced + b.unplaced)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -66,6 +67,11 @@ class GateList:
     @property
     def closes(self) -> np.ndarray:
         return self.opens + self.window_ps
+
+    @cached_property
+    def disjoint(self) -> bool:
+        """True when no two gates overlap (each event lies in at most one gate)."""
+        return bool(np.all(np.diff(self.opens) >= self.window_ps))
 
     def gates(self) -> list[Gate]:
         return [Gate(int(o), int(o) + self.window_ps) for o in self.opens]
@@ -142,11 +148,31 @@ class CountSummary:
         )
 
 
-def _gate_hits(gates: GateList, times: np.ndarray) -> np.ndarray:
-    """Boolean per gate: does [open, close) contain at least one event?"""
+def _hits_by_gate(gates: GateList, times: np.ndarray) -> np.ndarray:
+    """Search both edges of every gate into the events."""
     lo = np.searchsorted(times, gates.opens, side="left")
     hi = np.searchsorted(times, gates.closes, side="left")
     return hi > lo
+
+
+def _hits_by_event(gates: GateList, times: np.ndarray) -> np.ndarray:
+    """Search every event into the openings; needs non-overlapping gates."""
+    idx = np.searchsorted(gates.opens, times, side="right") - 1
+    inside = (idx >= 0) & (times < gates.opens[np.maximum(idx, 0)] + gates.window_ps)
+    hits = np.zeros(len(gates), dtype=bool)
+    hits[idx[inside]] = True
+    return hits
+
+
+def _gate_hits(gates: GateList, times: np.ndarray) -> np.ndarray:
+    """Boolean per gate: does [open, close) contain at least one event?
+
+    Sparse channels search their few events into the gates instead of the
+    gates into the events; without overlap both give the same answer.
+    """
+    if len(times) < len(gates) and gates.disjoint:
+        return _hits_by_event(gates, times)
+    return _hits_by_gate(gates, times)
 
 
 def count_gates(gates: GateList, d1: EventStream, d2: EventStream) -> CountSummary:

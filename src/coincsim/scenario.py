@@ -70,7 +70,7 @@ from .estimators import (
     sigma_separation,
     weighted_mean,
 )
-from .events import Channel, SeedSpec
+from .events import Channel, SeedSpec, derive_seed
 from .gating import (
     CountSummary,
     GateList,
@@ -85,6 +85,7 @@ from .sources import (
     CoherentSourceConfig,
     IntensityLaw,
     PdcSourceConfig,
+    Segments,
     ThermalMode,
     ThermalSourceConfig,
     gen_classical_wave_gates,
@@ -559,6 +560,24 @@ class _AcqTotals:
         )
 
 
+def _beam_segments(config: ScenarioConfig, gates: GateList) -> Segments:
+    """Where a generator-gated run places its beam arrivals.
+
+    Two Poisson beams seen by detectors without jitter or dead time only
+    need their arrivals inside the gates: nothing outside one can change a
+    count.  Every other case gets the whole interval.
+    """
+    dur = config.acquisition_duration_ps
+    source = config.source
+    poisson_beams = isinstance(source, CoherentSourceConfig) or (
+        isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.INDEPENDENT_ARMS
+    )
+    ideal = all(d.dead_time_ps == 0 and d.jitter_sigma_ps == 0 for d in (config.d1, config.d2))
+    if poisson_beams and ideal:
+        return Segments.from_gates(gates, dur)
+    return Segments.whole(dur)
+
+
 def _acquire(
     acq_index: int,
     *,
@@ -566,6 +585,7 @@ def _acquire(
     source: SourceConfig,
     point_index: int,
     gates: GateList | None,
+    segments: Segments | None,
 ) -> _AcqTotals:
     """Simulate one acquisition of one sweep point."""
     spec = SeedSpec(config.master_seed)
@@ -605,21 +625,25 @@ def _acquire(
         )
         return _AcqTotals(counts, n_gates, counts.n1, counts.n2)
 
-    if isinstance(source, CoherentSourceConfig):
-        b1 = gen_poisson_arrivals(
-            source.mean_rate_hz, dur, Arm.BEAM1, spec.seed_for(acq_index, f"{stage}:beam1")
-        )
-        b2 = gen_poisson_arrivals(
-            source.mean_rate_hz, dur, Arm.BEAM2, spec.seed_for(acq_index, f"{stage}:beam2")
-        )
-    else:  # thermal
+    if isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.SHARED_SINGLE_MODE:
         both = gen_thermal_arrivals(source, dur, spec.seed_for(acq_index, f"{stage}:source"))
         b1 = both.select_arm(Arm.BEAM1)
         b2 = both.select_arm(Arm.BEAM2)
+    else:  # two independent Poisson beams
+        if isinstance(source, CoherentSourceConfig):
+            seeds = [spec.seed_for(acq_index, f"{stage}:beam{k}") for k in (1, 2)]
+        else:  # the substreams gen_thermal_arrivals draws independent arms from
+            source_seed = spec.seed_for(acq_index, f"{stage}:source")
+            seeds = [derive_seed(source_seed, f"beam{k}") for k in (1, 2)]
+        b1, b2 = (
+            gen_poisson_arrivals(source.mean_rate_hz, dur, arm, seed, segments)
+            for arm, seed in zip((Arm.BEAM1, Arm.BEAM2), seeds)
+        )
     d1_ev = detect(b1, config.d1, spec.seed_for(acq_index, f"{stage}:det-d1"))
     d2_ev = detect(b2, config.d2, spec.seed_for(acq_index, f"{stage}:det-d2"))
     counts = count_gates(gates, d1_ev, d2_ev)
-    return _AcqTotals(counts, len(gates), len(d1_ev), len(d2_ev))
+    events1, events2 = (len(ev) + ev.unplaced for ev in (d1_ev, d2_ev))
+    return _AcqTotals(counts, len(gates), events1, events2)
 
 
 def run_point(
@@ -635,17 +659,27 @@ def run_point(
     Totals are additive across acquisition ranges: running [0, k) and [k, n)
     separately and summing gives exactly the totals of running [0, n).
     """
-    multiplier = config.multipliers[point_index - 1]
-    source = _scaled_source(config.source, multiplier)
     if n_acquisitions is None:
         n_acquisitions = config.acquisitions_for(point_index)
-    gates = None
+    if n_acquisitions < 1:
+        raise ConfigError(f"n_acquisitions must be >= 1, got {n_acquisitions}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    multiplier = config.multipliers[point_index - 1]
+    source = _scaled_source(config.source, multiplier)
+    gates = segments = None
     if config.gate_rate_hz is not None:
         gates = make_gates_periodic(
             config.gate_rate_hz, config.acquisition_duration_ps, config.window_ps
         )
+        segments = _beam_segments(config, gates)
     worker = partial(
-        _acquire, config=config, source=source, point_index=point_index, gates=gates
+        _acquire,
+        config=config,
+        source=source,
+        point_index=point_index,
+        gates=gates,
+        segments=segments,
     )
     indices = range(first_acquisition, first_acquisition + n_acquisitions)
     if jobs > 1:

@@ -14,6 +14,7 @@ from coincsim.gating import (
     make_gates_periodic,
     time_difference_histogram,
 )
+from coincsim.gating import _gate_hits, _hits_by_event, _hits_by_gate
 
 from stat_helpers import stream_of
 
@@ -281,3 +282,37 @@ class TestTimeDifferenceHistogram:
         stop_rate = len(stop_det) / duration
         floor = stop_rate * bin_w * len(start_det)
         assert 0.4 * floor < off_peak.mean() < 1.2 * floor
+
+
+@st.composite
+def gates_and_events(draw):
+    """Sorted openings (overlapping or not) and sorted events near them."""
+    window = draw(st.integers(1, 40))
+    gaps = draw(st.lists(st.integers(0, 80), min_size=0, max_size=40))
+    opens = np.cumsum(np.asarray([draw(st.integers(0, 50))] + gaps, dtype=np.int64))
+    span = int(opens[-1]) + window + 50
+    times = np.sort(
+        np.asarray(draw(st.lists(st.integers(0, span), max_size=60)), dtype=np.int64)
+    )
+    return GateList(window_ps=window, opens=opens), times
+
+
+class TestSparseLookup:
+    @given(gates_and_events())
+    @settings(max_examples=200)
+    def test_gate_hits_match_per_gate_search(self, case):
+        gates, times = case
+        expected = _hits_by_gate(gates, times)
+        np.testing.assert_array_equal(_gate_hits(gates, times), expected)
+        if gates.disjoint:
+            np.testing.assert_array_equal(_hits_by_event(gates, times), expected)
+
+    def test_overlapping_gates_use_per_gate_search(self):
+        # one event inside two overlapping gates hits both
+        gates = GateList(window_ps=10, opens=np.array([0, 5, 100, 200], dtype=np.int64))
+        assert not gates.disjoint
+        hits = _gate_hits(gates, np.array([7], dtype=np.int64))
+        assert hits.tolist() == [True, True, False, False]
+
+    def test_periodic_gates_are_disjoint(self):
+        assert make_gates_periodic(65_000, 10**9, 7 * NS).disjoint

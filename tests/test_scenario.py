@@ -209,6 +209,15 @@ class TestRunning:
         second = run_point(cfg, 1, n_acquisitions=2, first_acquisition=2)
         assert first + second == whole
 
+    def test_zero_acquisitions_rejected(self):
+        with pytest.raises(ConfigError, match="n_acquisitions"):
+            run_point(small_pdc_config(), 1, n_acquisitions=0)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_point(small_pdc_config(), 1, jobs=jobs)
+
     def test_parallel_matches_serial(self):
         cfg = small_pdc_config()
         serial = run_point(cfg, 1, jobs=1)
@@ -355,6 +364,14 @@ class TestCli:
         cfgfile.write_text("[source]\nkind = pdc\n")  # missing pair_rate_hz
         assert main(["simulate", "--config", str(cfgfile)]) == EXIT_CONFIG
         assert "pair_rate_hz" in capsys.readouterr().err
+
+    def test_simulate_zero_jobs_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            serialize_config(small_pdc_config(acquisitions=2, acquisition_duration_ps=10**7))
+        )
+        assert main(["simulate", "--config", str(cfgfile), "--jobs", "0"]) == EXIT_CONFIG
+        assert "jobs" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
