@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 configuration problem, 3 malformed input data.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataFormatError, UndefinedEstimateError
@@ -23,6 +25,7 @@ from .events import Channel
 from .gating import GatePolicy, count_gates, make_gates_from_trigger
 from .scenario import (
     RESULTS_HEADER,
+    csv_row,
     emit_results_csv,
     oracle_per_point,
     parse_config,
@@ -52,15 +55,9 @@ def _write_out(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _g6(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _read_config(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, master_seed=args.seed)
     result = run_scenario(config, jobs=args.jobs)
     _write_out(args.out, emit_results_csv(result))
@@ -68,15 +65,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    window_ps = round(args.window_ns * 1000) if math.isfinite(args.window_ns) else 0
+    if not 0 < window_ps < 2**63:
+        raise ConfigError("--window-ns must be finite, positive and below 2**63 ps")
+    if args.duration_ps is not None and args.duration_ps <= 0:
+        raise ConfigError("--duration-ps must be positive")
     try:
         data = Path(args.input).read_bytes()
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
     stream = parse_timetag_file(data, args.format, duration_ps=args.duration_ps)
-    window_ps = round(args.window_ns * 1000)
-    if window_ps <= 0:
-        raise ConfigError("--window-ns must be positive")
     gate_channel = _GATE_CHANNELS[args.gate_channel]
     policy = GatePolicy.ALLOW_OVERLAP if args.allow_overlap else GatePolicy.DROP_OVERLAPPING
     gates = make_gates_from_trigger(stream.select_channel(gate_channel), window_ps, policy)
@@ -84,12 +83,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     est = alpha_estimate(counts)
     seconds = stream.duration_ps * 1e-12
     rate = len(gates) / seconds
-    lines = [
-        RESULTS_HEADER,
-        f"1,{_g6(rate)},{counts.n_gates},{counts.n1},{counts.n2},{counts.nc},"
-        f"{_g6(est.alpha)},{_g6(est.sigma)}",
-    ]
-    _write_out(args.out, "\n".join(lines) + "\n")
+    row = csv_row(1, rate, *astuple(counts), est.alpha, est.sigma)
+    _write_out(args.out, f"{RESULTS_HEADER}\n{row}\n")
     return EXIT_OK
 
 
@@ -97,7 +92,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     config = _read_config(args.config)
     expected = oracle_per_point(config)
     lines = ["point,expected_alpha"]
-    lines.extend(f"{i},{_g6(a)}" for i, a in enumerate(expected, start=1))
+    lines.extend(csv_row(i, a) for i, a in enumerate(expected, start=1))
     _write_out(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

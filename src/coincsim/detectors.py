@@ -14,14 +14,14 @@ this order:
 Each stage draws from its own derived substream, so changing e.g. the dark
 rate does not perturb which photons were kept.
 
-Arrivals generated on gate segments (see ``coincsim.sources``) carry the
-count of arrivals outside them.  The detector thins that count with one
-binomial draw and places dark counts on the same segments, counting the
-ones outside; the output's ``unplaced`` holds both counts, so
-``len(events) + events.unplaced`` keeps its whole-acquisition distribution.
-This is exact only without jitter and dead time (either lets an event
-outside the segments move or suppress one inside), so such detectors reject
-segmented arrivals.
+Arrivals generated inside gates (``ArrivalStream.gates``, see
+``coincsim.sources``) carry the count of arrivals outside them.  The
+detector thins that count with one binomial draw and places dark counts in
+the same gates, counting the ones outside; the output's ``unplaced`` holds
+both counts, so ``len(events) + events.unplaced`` keeps its
+whole-acquisition distribution.  This is exact only without jitter and dead
+time (either lets an event outside the gates move or suppress one inside),
+so such detectors reject gate-local arrivals.
 """
 
 from __future__ import annotations
@@ -52,18 +52,18 @@ class DetectorConfig:
             raise ConfigError("detector dark_rate_hz must be finite and >= 0")
         if self.dead_time_ps < 0:
             raise ConfigError("detector dead_time_ps must be >= 0")
-        if self.jitter_sigma_ps < 0:
-            raise ConfigError("detector jitter_sigma_ps must be >= 0")
+        if not (self.jitter_sigma_ps >= 0 and np.isfinite(self.jitter_sigma_ps)):
+            raise ConfigError("detector jitter_sigma_ps must be finite and >= 0")
 
 
 def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventStream:
     """Apply a detector to photon arrivals, producing events on its channel."""
     duration = arrivals.duration_ps
-    segments = arrivals.segments
-    if not segments.is_whole and (config.dead_time_ps > 0 or config.jitter_sigma_ps > 0):
+    gates = arrivals.gates
+    if gates is not None and (config.dead_time_ps > 0 or config.jitter_sigma_ps > 0):
         raise ConfigError(
             f"detector on {config.channel.name} has dead time or jitter; it needs "
-            "arrivals on the whole interval, not on gate segments"
+            "arrivals on the whole interval, not only inside the gates"
         )
     n = len(arrivals)
 
@@ -89,7 +89,7 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
         kept_outside = int(thin_outside.binomial(kept_outside, config.efficiency))
 
     dark, dark_outside = _poisson_times(
-        np.random.default_rng(derive_seed(seed, "dark")), config.dark_rate_hz, segments
+        np.random.default_rng(derive_seed(seed, "dark")), config.dark_rate_hz, duration, gates
     )
 
     if len(dark) == 0:

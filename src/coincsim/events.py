@@ -21,7 +21,6 @@ __all__ = [
     "Channel",
     "Event",
     "EventStream",
-    "SeedSpec",
     "StreamViolation",
     "ValidationReport",
     "derive_seed",
@@ -67,7 +66,7 @@ class EventStream:
     read-only on construction; ordering/range invariants are the producer's
     responsibility (see :func:`validate_stream`).  ``unplaced`` counts events
     of the acquisition that a detector only counted, because they fell outside
-    the segments its arrivals were generated on (see ``coincsim.sources``).
+    the gates its arrivals were generated in (see ``coincsim.sources``).
     """
 
     duration_ps: int
@@ -117,9 +116,6 @@ class EventStream:
             raise ValueError("unplaced events carry no channel and cannot be selected")
         mask = self.channels == np.uint8(int(channel))
         return EventStream(self.duration_ps, self.times[mask], self.channels[mask])
-
-    def counts_by_channel(self) -> dict[Channel, int]:
-        return {ch: int(np.count_nonzero(self.channels == int(ch))) for ch in Channel}
 
 
 def merge_streams(a: EventStream, b: EventStream) -> EventStream:
@@ -230,16 +226,3 @@ def derive_seed(*parts: int | str) -> int:
     payload = _SEED_SEP.join(str(p).encode("utf-8") for p in parts)
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Master seed plus the labelled-substream derivation scheme."""
-
-    master_seed: int = 0
-
-    def seed_for(self, acquisition_index: int, stage: str) -> int:
-        return derive_seed(self.master_seed, acquisition_index, stage)
-
-    def rng_for(self, acquisition_index: int, stage: str) -> np.random.Generator:
-        return np.random.default_rng(self.seed_for(acquisition_index, stage))

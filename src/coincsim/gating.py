@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .events import EventStream, filter_min_separation
 
 __all__ = [
     "CountSummary",
-    "Gate",
     "GateList",
     "GatePolicy",
     "Histogram",
@@ -40,11 +38,6 @@ __all__ = [
 class GatePolicy(Enum):
     DROP_OVERLAPPING = "drop_overlapping"
     ALLOW_OVERLAP = "allow_overlap"
-
-
-class Gate(NamedTuple):
-    open_ps: int
-    close_ps: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +57,11 @@ class GateList:
     def __len__(self) -> int:
         return len(self.opens)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GateList):
+            return NotImplemented
+        return self.window_ps == other.window_ps and np.array_equal(self.opens, other.opens)
+
     @property
     def closes(self) -> np.ndarray:
         return self.opens + self.window_ps
@@ -72,9 +70,6 @@ class GateList:
     def disjoint(self) -> bool:
         """True when no two gates overlap (each event lies in at most one gate)."""
         return bool(np.all(np.diff(self.opens) >= self.window_ps))
-
-    def gates(self) -> list[Gate]:
-        return [Gate(int(o), int(o) + self.window_ps) for o in self.opens]
 
 
 def make_gates_from_trigger(

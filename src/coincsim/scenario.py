@@ -50,10 +50,10 @@ from __future__ import annotations
 import configparser
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .estimators import (
     sigma_separation,
     weighted_mean,
 )
-from .events import Channel, SeedSpec, derive_seed
+from .events import Channel, derive_seed
 from .gating import (
     CountSummary,
     GateList,
@@ -83,9 +83,9 @@ from .sources import (
     Arm,
     ClassicalWaveConfig,
     CoherentSourceConfig,
-    IntensityLaw,
+    Gating,
     PdcSourceConfig,
-    Segments,
+    SourceKind,
     ThermalMode,
     ThermalSourceConfig,
     gen_classical_wave_gates,
@@ -112,20 +112,6 @@ SourceConfig = PdcSourceConfig | CoherentSourceConfig | ThermalSourceConfig | Cl
 
 PICOSECONDS_PER_SECOND = 10**12
 
-
-class SourceKind(Enum):
-    PDC = "pdc"
-    COHERENT = "coherent"
-    THERMAL = "thermal"
-    CLASSICAL_WAVE = "classical_wave"
-
-
-_KIND_BY_TYPE = {
-    PdcSourceConfig: SourceKind.PDC,
-    CoherentSourceConfig: SourceKind.COHERENT,
-    ThermalSourceConfig: SourceKind.THERMAL,
-    ClassicalWaveConfig: SourceKind.CLASSICAL_WAVE,
-}
 
 _DEFAULT_EFFICIENCY = {Channel.TRIGGER: 0.4, Channel.D1: 0.5, Channel.D2: 0.5}
 _DEFAULT_DARK_HZ = 100.0
@@ -159,7 +145,7 @@ class ScenarioConfig:
 
     @property
     def kind(self) -> SourceKind:
-        return _KIND_BY_TYPE[type(self.source)]
+        return self.source.kind
 
     def __post_init__(self) -> None:
         if self.window_ps <= 0:
@@ -172,32 +158,30 @@ class ScenarioConfig:
             )
         if "\n" in self.label:
             raise ConfigError("run.label must be a single line")
-        kind = self.kind
-
-        if kind is SourceKind.PDC:
+        gating = self.source.gating
+        if gating is Gating.TRIGGER:
             if self.gate_rate_hz is not None:
                 raise ConfigError(
                     "run.gate_rate_hz does not apply to a heralded source: "
                     "gates open on trigger detections"
                 )
             object.__setattr__(self, "trigger", self.trigger or default_detector(Channel.TRIGGER))
-        elif kind is SourceKind.CLASSICAL_WAVE:
-            if self.trigger is not None:
-                raise ConfigError(
-                    "[detector.trigger] only applies to the heralded source"
-                )
+        elif self.trigger is not None:
+            raise ConfigError("[detector.trigger] only applies to the heralded source")
+        elif gating is Gating.PER_GATE:
             if self.gate_rate_hz is not None:
                 raise ConfigError(
                     "run.gate_rate_hz does not apply to the wave model: "
                     "trials come from source.herald_rate_hz"
                 )
-        else:
-            if self.trigger is not None:
+            if self.d1 is not None or self.d2 is not None:
                 raise ConfigError(
-                    "[detector.trigger] only applies to the heralded source"
+                    "the per-gate wave model draws detections directly; "
+                    "[detector.d1]/[detector.d2] sections do not apply"
                 )
+        else:
             if self.gate_rate_hz is None:
-                raise ConfigError(f"run.gate_rate_hz is required for kind={kind.value}")
+                raise ConfigError(f"run.gate_rate_hz is required for kind={self.kind.value}")
             if not (self.gate_rate_hz > 0) or not math.isfinite(self.gate_rate_hz):
                 raise ConfigError("run.gate_rate_hz must be finite and > 0")
             if self.gate_rate_hz * self.window_ps >= PICOSECONDS_PER_SECOND:
@@ -206,13 +190,7 @@ class ScenarioConfig:
                     f"(rate {self.gate_rate_hz:g} Hz, window {self.window_ps} ps)"
                 )
 
-        if kind is SourceKind.CLASSICAL_WAVE:
-            if self.d1 is not None or self.d2 is not None:
-                raise ConfigError(
-                    "the per-gate wave model draws detections directly; "
-                    "[detector.d1]/[detector.d2] sections do not apply"
-                )
-        else:
+        if gating is not Gating.PER_GATE:
             object.__setattr__(self, "d1", self.d1 or default_detector(Channel.D1))
             object.__setattr__(self, "d2", self.d2 or default_detector(Channel.D2))
             for det, name in ((self.trigger, "trigger"), (self.d1, "d1"), (self.d2, "d2")):
@@ -248,7 +226,7 @@ class ScenarioConfig:
         # Scaling must stay valid at every sweep point; surfaces range errors
         # (e.g. the wave model's linear-regime cap) at parse time.
         for m in self.multipliers:
-            _scaled_source(self.source, m)
+            _scaled(self.source, m)
 
     def acquisitions_for(self, point_index: int) -> int:
         """Acquisitions for the 1-based sweep point."""
@@ -264,14 +242,9 @@ _SECTION_CHANNEL = {
 }
 
 
-def _scaled_source(source: SourceConfig, multiplier: float) -> SourceConfig:
-    if isinstance(source, PdcSourceConfig):
-        return replace(source, pair_rate_hz=source.pair_rate_hz * multiplier)
-    if isinstance(source, (CoherentSourceConfig, ThermalSourceConfig)):
-        return replace(source, mean_rate_hz=source.mean_rate_hz * multiplier)
-    return replace(
-        source, per_gate_intensity_mean=source.per_gate_intensity_mean * multiplier
-    )
+def _scaled(source: SourceConfig, multiplier: float) -> SourceConfig:
+    """The source with its swept rate field scaled by ``multiplier``."""
+    return replace(source, **{source.rate_field: getattr(source, source.rate_field) * multiplier})
 
 
 # ---------------------------------------------------------------------------
@@ -286,51 +259,30 @@ class _Section:
         self._map = dict(mapping)
         self._seen: set[str] = set()
 
-    _MISSING = object()
-
     def _raw(self, key: str, default):
         self._seen.add(key)
         if key in self._map:
             return self._map[key]
-        if default is self._MISSING:
+        if default is MISSING:
             raise ConfigError(f"[{self.name}] is missing required key '{key}'")
         return default
 
-    def get_str(self, key: str, default=_MISSING):
-        v = self._raw(key, default)
-        return v.strip() if isinstance(v, str) else v
-
-    def get_float(self, key: str, default=_MISSING):
+    def get(self, key: str, type_: type, default=MISSING):
+        """The value of ``key`` parsed as ``type_``: str, int, float or an Enum."""
         v = self._raw(key, default)
         if not isinstance(v, str):
             return v
+        v = v.strip()
         try:
-            return float(v)
+            return type_(v)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected a number, got {v!r}") from None
+            if issubclass(type_, Enum):
+                choices = ", ".join(e.value for e in type_)
+                raise ConfigError(f"[{self.name}] {key}: {v!r} is not one of: {choices}") from None
+            expected = "an integer" if type_ is int else "a number"
+            raise ConfigError(f"[{self.name}] {key}: expected {expected}, got {v!r}") from None
 
-    def get_int(self, key: str, default=_MISSING):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected an integer, got {v!r}") from None
-
-    def get_enum(self, key: str, enum_type, default=_MISSING):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        try:
-            return enum_type(v.strip())
-        except ValueError:
-            choices = ", ".join(e.value for e in enum_type)
-            raise ConfigError(
-                f"[{self.name}] {key}: {v.strip()!r} is not one of: {choices}"
-            ) from None
-
-    def get_list(self, key: str, convert: Callable, default=_MISSING):
+    def get_list(self, key: str, convert: Callable, default=MISSING):
         v = self._raw(key, default)
         if not isinstance(v, str):
             return v
@@ -351,44 +303,21 @@ class _Section:
             raise ConfigError(f"[{self.name}] has unknown key '{unknown[0]}'")
 
 
-def _parse_source(sec: _Section) -> SourceConfig:
-    kind = sec.get_enum("kind", SourceKind)
-    if kind is SourceKind.PDC:
-        src = PdcSourceConfig(
-            pair_rate_hz=sec.get_float("pair_rate_hz"),
-            pair_jitter_ps=sec.get_float("pair_jitter_ps", 0.0),
-        )
-    elif kind is SourceKind.COHERENT:
-        src = CoherentSourceConfig(mean_rate_hz=sec.get_float("mean_rate_hz"))
-    elif kind is SourceKind.THERMAL:
-        src = ThermalSourceConfig(
-            mean_rate_hz=sec.get_float("mean_rate_hz"),
-            mode=sec.get_enum("mode", ThermalMode, ThermalMode.INDEPENDENT_ARMS),
-            coherence_time_ps=sec.get_int("coherence_time_ps", 0),
-            splitting_ratio=sec.get_float("splitting_ratio", 0.5),
-        )
-    else:
-        src = ClassicalWaveConfig(
-            herald_rate_hz=sec.get_float("herald_rate_hz"),
-            per_gate_intensity_mean=sec.get_float("per_gate_intensity_mean"),
-            intensity_law=sec.get_enum("intensity_law", IntensityLaw, IntensityLaw.CONSTANT),
-            splitting_ratio=sec.get_float("splitting_ratio", 0.5),
-        )
-    sec.finish()
-    return src
+def _read_fields(sec: _Section, cls, defaults: dict, **fixed):
+    """``cls(**fixed, ...)`` with every other field read from its key in ``sec``.
 
-
-def _parse_detector(sec: _Section, channel: Channel) -> DetectorConfig:
-    base = default_detector(channel)
-    det = DetectorConfig(
-        channel=channel,
-        efficiency=sec.get_float("efficiency", base.efficiency),
-        dark_rate_hz=sec.get_float("dark_rate_hz", base.dark_rate_hz),
-        dead_time_ps=sec.get_int("dead_time_ps", base.dead_time_ps),
-        jitter_sigma_ps=sec.get_float("jitter_sigma_ps", base.jitter_sigma_ps),
-    )
+    A field's annotated type (float, int or an Enum) parses its value; a key
+    the section omits takes its value from ``defaults`` and is required when
+    that is ``MISSING``.
+    """
+    types = get_type_hints(cls)
+    values = {
+        f.name: sec.get(f.name, types[f.name], defaults[f.name])
+        for f in fields(cls)
+        if f.name not in fixed
+    }
     sec.finish()
-    return det
+    return cls(**fixed, **values)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -406,24 +335,28 @@ def parse_config(text: str) -> ScenarioConfig:
     if not cp.has_section("source"):
         raise ConfigError("config needs a [source] section")
 
-    source = _parse_source(_Section("source", cp["source"]))
+    sec = _Section("source", cp["source"])
+    kind = sec.get("kind", SourceKind)
+    cls = next(c for c in get_args(SourceConfig) if c.kind is kind)
+    source = _read_fields(sec, cls, {f.name: f.default for f in fields(cls)})
 
     detectors: dict[str, DetectorConfig | None] = {}
     for name, channel in _SECTION_CHANNEL.items():
         section = f"detector.{name}"
+        detectors[name] = None
         if cp.has_section(section):
-            detectors[name] = _parse_detector(_Section(section, cp[section]), channel)
-        else:
-            detectors[name] = None
+            defaults = vars(default_detector(channel))
+            sec = _Section(section, cp[section])
+            detectors[name] = _read_fields(sec, DetectorConfig, defaults, channel=channel)
 
     run = _Section("run", cp["run"] if cp.has_section("run") else {})
-    window_ps = run.get_int("window_ps", 7000)
-    acquisitions = run.get_int("acquisitions", 500)
-    duration = run.get_int("acquisition_duration_ps", PICOSECONDS_PER_SECOND)
-    master_seed = run.get_int("master_seed", 0)
-    gate_rate = run.get_float("gate_rate_hz", None)
-    gate_policy = run.get_enum("gate_policy", GatePolicy, GatePolicy.DROP_OVERLAPPING)
-    label = run.get_str("label", "")
+    window_ps = run.get("window_ps", int, 7000)
+    acquisitions = run.get("acquisitions", int, 500)
+    duration = run.get("acquisition_duration_ps", int, PICOSECONDS_PER_SECOND)
+    master_seed = run.get("master_seed", int, 0)
+    gate_rate = run.get("gate_rate_hz", float, None)
+    gate_policy = run.get("gate_policy", GatePolicy, GatePolicy.DROP_OVERLAPPING)
+    label = run.get("label", str, "")
     run.finish()
 
     sweep = _Section("sweep", cp["sweep"] if cp.has_section("sweep") else {})
@@ -450,45 +383,23 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _fmt_num(x: float) -> str:
+def _fmt(x) -> str:
+    if isinstance(x, Enum):
+        return x.value
     return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _field_lines(obj, skip: str = "") -> list[str]:
+    return [f"{f.name} = {_fmt(getattr(obj, f.name))}" for f in fields(obj) if f.name != skip]
 
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Render a config back to INI text; parse_config inverts this exactly."""
-    lines: list[str] = ["[source]"]
-    src = config.source
-    lines.append(f"kind = {config.kind.value}")
-    if isinstance(src, PdcSourceConfig):
-        lines.append(f"pair_rate_hz = {_fmt_num(src.pair_rate_hz)}")
-        if src.pair_jitter_ps:
-            lines.append(f"pair_jitter_ps = {_fmt_num(src.pair_jitter_ps)}")
-    elif isinstance(src, CoherentSourceConfig):
-        lines.append(f"mean_rate_hz = {_fmt_num(src.mean_rate_hz)}")
-    elif isinstance(src, ThermalSourceConfig):
-        lines.append(f"mean_rate_hz = {_fmt_num(src.mean_rate_hz)}")
-        lines.append(f"mode = {src.mode.value}")
-        if src.mode is ThermalMode.SHARED_SINGLE_MODE:
-            lines.append(f"coherence_time_ps = {src.coherence_time_ps}")
-            lines.append(f"splitting_ratio = {_fmt_num(src.splitting_ratio)}")
-    else:
-        lines.append(f"herald_rate_hz = {_fmt_num(src.herald_rate_hz)}")
-        lines.append(f"per_gate_intensity_mean = {_fmt_num(src.per_gate_intensity_mean)}")
-        lines.append(f"intensity_law = {src.intensity_law.value}")
-        lines.append(f"splitting_ratio = {_fmt_num(src.splitting_ratio)}")
-
+    lines = ["[source]", f"kind = {config.kind.value}", *_field_lines(config.source)]
     for name in ("trigger", "d1", "d2"):
         det: DetectorConfig | None = getattr(config, name)
-        if det is None:
-            continue
-        lines.append("")
-        lines.append(f"[detector.{name}]")
-        lines.append(f"efficiency = {_fmt_num(det.efficiency)}")
-        lines.append(f"dark_rate_hz = {_fmt_num(det.dark_rate_hz)}")
-        if det.dead_time_ps:
-            lines.append(f"dead_time_ps = {det.dead_time_ps}")
-        if det.jitter_sigma_ps:
-            lines.append(f"jitter_sigma_ps = {_fmt_num(det.jitter_sigma_ps)}")
+        if det is not None:
+            lines += ["", f"[detector.{name}]", *_field_lines(det, skip="channel")]
 
     lines.append("")
     lines.append("[run]")
@@ -497,14 +408,14 @@ def serialize_config(config: ScenarioConfig) -> str:
     lines.append(f"acquisition_duration_ps = {config.acquisition_duration_ps}")
     lines.append(f"master_seed = {config.master_seed}")
     if config.gate_rate_hz is not None:
-        lines.append(f"gate_rate_hz = {_fmt_num(config.gate_rate_hz)}")
+        lines.append(f"gate_rate_hz = {_fmt(config.gate_rate_hz)}")
     lines.append(f"gate_policy = {config.gate_policy.value}")
     if config.label:
         lines.append(f"label = {config.label}")
 
     lines.append("")
     lines.append("[sweep]")
-    lines.append("multipliers = " + " ".join(_fmt_num(m) for m in config.multipliers))
+    lines.append("multipliers = " + " ".join(_fmt(m) for m in config.multipliers))
     if config.acquisitions_per_point is not None:
         lines.append(
             "acquisitions_per_point = "
@@ -560,22 +471,19 @@ class _AcqTotals:
         )
 
 
-def _beam_segments(config: ScenarioConfig, gates: GateList) -> Segments:
+def _beam_segments(config: ScenarioConfig, gates: GateList) -> GateList | None:
     """Where a generator-gated run places its beam arrivals.
 
     Two Poisson beams seen by detectors without jitter or dead time only
     need their arrivals inside the gates: nothing outside one can change a
-    count.  Every other case gets the whole interval.
+    count.  Every other case gets the whole interval (``None``).
     """
-    dur = config.acquisition_duration_ps
     source = config.source
     poisson_beams = isinstance(source, CoherentSourceConfig) or (
         isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.INDEPENDENT_ARMS
     )
     ideal = all(d.dead_time_ps == 0 and d.jitter_sigma_ps == 0 for d in (config.d1, config.d2))
-    if poisson_beams and ideal:
-        return Segments.from_gates(gates, dur)
-    return Segments.whole(dur)
+    return gates if poisson_beams and ideal else None
 
 
 def _acquire(
@@ -585,38 +493,31 @@ def _acquire(
     source: SourceConfig,
     point_index: int,
     gates: GateList | None,
-    segments: Segments | None,
+    beam_gates: GateList | None,
 ) -> _AcqTotals:
     """Simulate one acquisition of one sweep point."""
-    spec = SeedSpec(config.master_seed)
-    stage = f"pt{point_index}"
+
+    def seed(stage: str) -> int:
+        return derive_seed(config.master_seed, acq_index, f"pt{point_index}:{stage}")
+
     dur = config.acquisition_duration_ps
 
     if isinstance(source, PdcSourceConfig):
-        trig_arr, idler = gen_pdc_pairs(source, dur, spec.seed_for(acq_index, f"{stage}:source"))
-        paths = project_idler_path(idler, spec.seed_for(acq_index, f"{stage}:path"))
-        trig_ev = detect(trig_arr, config.trigger, spec.seed_for(acq_index, f"{stage}:det-t"))
-        d1_ev = detect(
-            paths.select_arm(Arm.IDLER_PATH1), config.d1, spec.seed_for(acq_index, f"{stage}:det-d1")
-        )
-        d2_ev = detect(
-            paths.select_arm(Arm.IDLER_PATH2), config.d2, spec.seed_for(acq_index, f"{stage}:det-d2")
-        )
+        trig_arr, idler = gen_pdc_pairs(source, dur, seed("source"))
+        paths = project_idler_path(idler, seed("path"))
+        trig_ev = detect(trig_arr, config.trigger, seed("det-t"))
+        d1_ev = detect(paths.select_arm(Arm.IDLER_PATH1), config.d1, seed("det-d1"))
+        d2_ev = detect(paths.select_arm(Arm.IDLER_PATH2), config.d2, seed("det-d2"))
         trig_gates = make_gates_from_trigger(trig_ev, config.window_ps, config.gate_policy)
         counts = count_gates(trig_gates, d1_ev, d2_ev)
         return _AcqTotals(counts, len(trig_ev), len(d1_ev), len(d2_ev))
 
     if isinstance(source, ClassicalWaveConfig):
-        n_gates = int(
-            spec.rng_for(acq_index, f"{stage}:heralds").poisson(
-                source.herald_rate_hz * dur * 1e-12
-            )
-        )
-        p1, p2 = gen_classical_wave_gates(
-            source, n_gates, spec.seed_for(acq_index, f"{stage}:intensity")
-        )
-        f1 = spec.rng_for(acq_index, f"{stage}:fire1").random(n_gates) < p1
-        f2 = spec.rng_for(acq_index, f"{stage}:fire2").random(n_gates) < p2
+        heralds = np.random.default_rng(seed("heralds"))
+        n_gates = int(heralds.poisson(source.herald_rate_hz * dur * 1e-12))
+        p1, p2 = gen_classical_wave_gates(source, n_gates, seed("intensity"))
+        f1 = np.random.default_rng(seed("fire1")).random(n_gates) < p1
+        f2 = np.random.default_rng(seed("fire2")).random(n_gates) < p2
         counts = CountSummary(
             n_gates,
             int(np.count_nonzero(f1)),
@@ -626,21 +527,20 @@ def _acquire(
         return _AcqTotals(counts, n_gates, counts.n1, counts.n2)
 
     if isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.SHARED_SINGLE_MODE:
-        both = gen_thermal_arrivals(source, dur, spec.seed_for(acq_index, f"{stage}:source"))
+        both = gen_thermal_arrivals(source, dur, seed("source"))
         b1 = both.select_arm(Arm.BEAM1)
         b2 = both.select_arm(Arm.BEAM2)
     else:  # two independent Poisson beams
         if isinstance(source, CoherentSourceConfig):
-            seeds = [spec.seed_for(acq_index, f"{stage}:beam{k}") for k in (1, 2)]
+            seeds = [seed(f"beam{k}") for k in (1, 2)]
         else:  # the substreams gen_thermal_arrivals draws independent arms from
-            source_seed = spec.seed_for(acq_index, f"{stage}:source")
-            seeds = [derive_seed(source_seed, f"beam{k}") for k in (1, 2)]
+            seeds = [derive_seed(seed("source"), f"beam{k}") for k in (1, 2)]
         b1, b2 = (
-            gen_poisson_arrivals(source.mean_rate_hz, dur, arm, seed, segments)
-            for arm, seed in zip((Arm.BEAM1, Arm.BEAM2), seeds)
+            gen_poisson_arrivals(source.mean_rate_hz, dur, arm, s, beam_gates)
+            for arm, s in zip((Arm.BEAM1, Arm.BEAM2), seeds)
         )
-    d1_ev = detect(b1, config.d1, spec.seed_for(acq_index, f"{stage}:det-d1"))
-    d2_ev = detect(b2, config.d2, spec.seed_for(acq_index, f"{stage}:det-d2"))
+    d1_ev = detect(b1, config.d1, seed("det-d1"))
+    d2_ev = detect(b2, config.d2, seed("det-d2"))
     counts = count_gates(gates, d1_ev, d2_ev)
     events1, events2 = (len(ev) + ev.unplaced for ev in (d1_ev, d2_ev))
     return _AcqTotals(counts, len(gates), events1, events2)
@@ -666,20 +566,20 @@ def run_point(
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     multiplier = config.multipliers[point_index - 1]
-    source = _scaled_source(config.source, multiplier)
-    gates = segments = None
+    source = _scaled(config.source, multiplier)
+    gates = beam_gates = None
     if config.gate_rate_hz is not None:
         gates = make_gates_periodic(
             config.gate_rate_hz, config.acquisition_duration_ps, config.window_ps
         )
-        segments = _beam_segments(config, gates)
+        beam_gates = _beam_segments(config, gates)
     worker = partial(
         _acquire,
         config=config,
         source=source,
         point_index=point_index,
         gates=gates,
-        segments=segments,
+        beam_gates=beam_gates,
     )
     indices = range(first_acquisition, first_acquisition + n_acquisitions)
     if jobs > 1:
@@ -692,14 +592,6 @@ def run_point(
     for p in parts[1:]:
         total = total + p
     return total
-
-
-def _canonical_rate(kind: SourceKind, trig: float, d1: float, d2: float) -> float:
-    # Heralded runs sweep the trigger rate; generator-gated runs sweep the
-    # singles rate (the generator itself never changes).
-    if kind is SourceKind.PDC:
-        return trig
-    return d1
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
@@ -720,7 +612,9 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
                 rate_trigger_cps=trig_rate,
                 rate_d1_cps=d1_rate,
                 rate_d2_cps=d2_rate,
-                rate_cps=_canonical_rate(config.kind, trig_rate, d1_rate, d2_rate),
+                # Heralded runs sweep the trigger rate; the others the
+                # singles rate (a gate generator never changes).
+                rate_cps=trig_rate if config.source.gating is Gating.TRIGGER else d1_rate,
                 counts=totals.counts,
                 estimate=est,
             )
@@ -768,7 +662,7 @@ def oracle_per_point(config: ScenarioConfig) -> list[float]:
     """
     out: list[float] = []
     for multiplier in config.multipliers:
-        source = _scaled_source(config.source, multiplier)
+        source = _scaled(config.source, multiplier)
         if isinstance(source, PdcSourceConfig):
             w_s = config.window_ps * 1e-12
             sigma1 = math.hypot(
@@ -810,8 +704,9 @@ def oracle_per_point(config: ScenarioConfig) -> list[float]:
 RESULTS_HEADER = "point,rate_cps,N,N1,N2,Nc,alpha,sigma"
 
 
-def _g6(x: float) -> str:
-    return f"{x:.6g}"
+def csv_row(*values) -> str:
+    """One CSV row: floats to six significant digits, anything else as text."""
+    return ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in values)
 
 
 def emit_results_csv(result: ScenarioResult) -> str:
@@ -823,10 +718,8 @@ def emit_results_csv(result: ScenarioResult) -> str:
     """
     lines = [RESULTS_HEADER]
     for p in result.points:
-        c = p.counts
         lines.append(
-            f"{p.point},{_g6(p.rate_cps)},{c.n_gates},{c.n1},{c.n2},{c.nc},"
-            f"{_g6(p.estimate.alpha)},{_g6(p.estimate.sigma)}"
+            csv_row(p.point, p.rate_cps, *astuple(p.counts), p.estimate.alpha, p.estimate.sigma)
         )
     chosen = [result.points[i - 1] for i in result.overall_point_ids]
     total_seconds = sum(p.seconds for p in chosen)
@@ -835,7 +728,6 @@ def emit_results_csv(result: ScenarioResult) -> str:
     for p in chosen[1:]:
         totals = totals + p.counts
     lines.append(
-        f"overall,{_g6(mean_rate)},{totals.n_gates},{totals.n1},{totals.n2},{totals.nc},"
-        f"{_g6(result.overall.alpha)},{_g6(result.overall.sigma)}"
+        csv_row("overall", mean_rate, *astuple(totals), result.overall.alpha, result.overall.sigma)
     )
     return "\n".join(lines) + "\n"

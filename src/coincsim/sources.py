@@ -33,40 +33,49 @@ observation interval, which is distributionally identical to accumulating
 exponential waiting times but vectorizes cleanly.
 
 Gate-local generation.  A Poisson stream can be placed on a list of
-:class:`Segments` instead of the whole interval.  The whole-acquisition total
-N is drawn as before; n_in ~ Binomial(N, covered / duration) of those
-arrivals are placed uniformly on the segment ticks, and the other N - n_in
-are carried on the stream as a count (``ArrivalStream.unplaced``).
-Restricting a Poisson process to a set gives a Poisson process (Kingman,
-*Poisson Processes*, 1993), so the placed arrivals have exactly the law of
-the whole-interval arrivals that fall inside the segments, and
-``len(stream) + unplaced`` keeps the whole-acquisition distribution.  Rates (``rate_hz``,
-``mean_rate_hz``) stay whole-acquisition rates.  The scenario runner uses the
-periodic gates as segments for the two Poisson-beam kinds (coherent, and
-thermal light with independent arms) when neither beam detector has dead
-time or jitter; then no event outside a gate can reach a count, and the
-result is exact.  Every other case uses the one whole-interval segment, for
-which no binomial is drawn and the streams are those of a plain run.
+non-overlapping gates (a :class:`~coincsim.gating.GateList`) instead of the
+whole interval.  The whole-acquisition total N is drawn as before;
+n_in ~ Binomial(N, covered / duration) of those arrivals are placed
+uniformly on the gate ticks (a last gate running past the interval's end is
+clipped there), and the other N - n_in are carried on the stream as a count
+(``ArrivalStream.unplaced``).  Restricting a Poisson process to a set gives
+a Poisson process (Kingman, *Poisson Processes*, 1993), so the placed
+arrivals have exactly the law of the whole-interval arrivals that fall
+inside the gates, and ``len(stream) + unplaced`` keeps the
+whole-acquisition distribution.  Rates (``rate_hz``, ``mean_rate_hz``) stay
+whole-acquisition rates.  The scenario runner places the two Poisson-beam
+kinds (coherent, and thermal light with independent arms) on the periodic
+gates when neither beam detector has dead time or jitter; then no event
+outside a gate can reach a count, and the result is exact.  Every other
+case uses the whole interval (``gates=None``), for which no binomial is
+drawn and the streams are those of a plain run.
+
+Each source config class also states the facts the scenario runner needs
+about its kind: ``kind``, the field a sweep multiplier scales
+(``rate_field``), and how its gates open (``gating``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError
 from .events import derive_seed
+from .gating import GateList
 
 __all__ = [
     "Arm",
     "ArrivalStream",
     "ClassicalWaveConfig",
     "CoherentSourceConfig",
+    "Gating",
     "IntensityLaw",
     "PdcSourceConfig",
-    "Segments",
+    "SourceKind",
     "ThermalMode",
     "ThermalSourceConfig",
     "gen_classical_wave_gates",
@@ -88,88 +97,34 @@ class Arm(IntEnum):
     IDLER_UNDECIDED = 5  # idler before the splitter has assigned a path
 
 
-@dataclass(frozen=True, eq=False)
-class Segments:
-    """Sorted, disjoint half-open intervals [start, start + length) of one acquisition.
+class SourceKind(Enum):
+    PDC = "pdc"
+    COHERENT = "coherent"
+    THERMAL = "thermal"
+    CLASSICAL_WAVE = "classical_wave"
 
-    Streams generated on segments hold only the arrivals inside them.  The
-    whole interval [0, duration_ps) is the one-segment case.
-    """
 
-    duration_ps: int
-    starts: np.ndarray
-    lengths: np.ndarray
-    covered_ps: int = field(init=False)
-    _cum_ends: np.ndarray = field(init=False, repr=False)
-    _shift: np.ndarray = field(init=False, repr=False)
+class Gating(Enum):
+    """How a source's gates open."""
 
-    def __post_init__(self) -> None:
-        if self.duration_ps <= 0:
-            raise ConfigError("duration_ps must be positive")
-        starts = np.asarray(self.starts, dtype=np.int64)
-        lengths = np.asarray(self.lengths, dtype=np.int64)
-        if starts.ndim != 1 or lengths.shape != starts.shape:
-            raise ValueError("starts and lengths must be parallel 1-d arrays")
-        ends = starts + lengths
-        if len(starts) and (
-            np.any(lengths <= 0)
-            or starts[0] < 0
-            or ends[-1] > self.duration_ps
-            or np.any(starts[1:] < ends[:-1])
-        ):
-            raise ValueError("segments must be non-empty, sorted, disjoint and inside the interval")
-        # Offset u in [0, covered) of the concatenated segments lies in segment
-        # i = searchsorted(cum_ends, u, "right") at time u + shift[i].
-        cum_ends = np.cumsum(lengths)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "covered_ps", int(cum_ends[-1]) if len(cum_ends) else 0)
-        object.__setattr__(self, "_cum_ends", cum_ends)
-        object.__setattr__(self, "_shift", starts - (cum_ends - lengths))
-
-    @classmethod
-    def whole(cls, duration_ps: int) -> "Segments":
-        return cls(duration_ps, np.zeros(1, dtype=np.int64), np.array([duration_ps], dtype=np.int64))
-
-    @classmethod
-    def from_gates(cls, gates, duration_ps: int) -> "Segments":
-        """The gates [open, min(open + window, duration)) of a non-overlapping gate list."""
-        opens = gates.opens
-        return cls(duration_ps, opens, np.minimum(opens + gates.window_ps, duration_ps) - opens)
-
-    @property
-    def is_whole(self) -> bool:
-        return self.covered_ps == self.duration_ps
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Segments):
-            return NotImplemented
-        return (
-            self.duration_ps == other.duration_ps
-            and np.array_equal(self.starts, other.starts)
-            and np.array_equal(self.lengths, other.lengths)
-        )
-
-    def place(self, offsets: np.ndarray) -> np.ndarray:
-        """Map sorted offsets in [0, covered_ps) to sorted acquisition times."""
-        if self.is_whole:
-            return offsets
-        return offsets + self._shift[np.searchsorted(self._cum_ends, offsets, side="right")]
+    TRIGGER = "trigger"  # on detected trigger photons
+    GENERATOR = "generator"  # from a periodic pulse generator (run.gate_rate_hz)
+    PER_GATE = "per_gate"  # the source draws each gate's detections itself
 
 
 @dataclass(frozen=True, eq=False)
 class ArrivalStream:
     """Photon arrivals at an optical plane, canonically ordered like events.
 
-    ``times`` holds the arrivals inside ``segments`` (default: the whole
-    interval); ``unplaced`` counts the arrivals of the acquisition that fell
-    outside them and were not placed.
+    ``times`` holds the arrivals inside ``gates`` (default ``None``: the
+    whole interval); ``unplaced`` counts the arrivals of the acquisition that
+    fell outside them and were not placed.
     """
 
     duration_ps: int
     times: np.ndarray
     arms: np.ndarray
-    segments: Segments | None = None
+    gates: GateList | None = None
     unplaced: int = 0
 
     def __post_init__(self) -> None:
@@ -179,10 +134,6 @@ class ArrivalStream:
         a = np.asarray(self.arms, dtype=np.uint8)
         if t.ndim != 1 or a.shape != t.shape:
             raise ValueError("times and arms must be parallel 1-d arrays")
-        if self.segments is None:
-            object.__setattr__(self, "segments", Segments.whole(self.duration_ps))
-        elif self.segments.duration_ps != self.duration_ps:
-            raise ValueError("segments must span the stream's duration")
         if self.unplaced < 0:
             raise ValueError("unplaced must be >= 0")
         t.setflags(write=False)
@@ -200,7 +151,7 @@ class ArrivalStream:
             self.duration_ps == other.duration_ps
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.arms, other.arms)
-            and self.segments == other.segments
+            and self.gates == other.gates
             and self.unplaced == other.unplaced
         )
 
@@ -208,7 +159,7 @@ class ArrivalStream:
         if self.unplaced:
             raise ValueError("unplaced arrivals carry no arm label and cannot be split")
         mask = self.arms == np.uint8(int(arm))
-        return ArrivalStream(self.duration_ps, self.times[mask], self.arms[mask], self.segments)
+        return ArrivalStream(self.duration_ps, self.times[mask], self.arms[mask], self.gates)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -224,18 +175,29 @@ class PdcSourceConfig:
     arrival relative to its signal partner (0 = perfectly simultaneous).
     """
 
+    kind: ClassVar[SourceKind] = SourceKind.PDC
+    rate_field: ClassVar[str] = "pair_rate_hz"
+    gating: ClassVar[Gating] = Gating.TRIGGER
+
     pair_rate_hz: float
     pair_jitter_ps: float = 0.0
 
     def __post_init__(self) -> None:
         _require(self.pair_rate_hz >= 0, "source.pair_rate_hz must be >= 0")
         _require(np.isfinite(self.pair_rate_hz), "source.pair_rate_hz must be finite")
-        _require(self.pair_jitter_ps >= 0, "source.pair_jitter_ps must be >= 0")
+        _require(
+            self.pair_jitter_ps >= 0 and np.isfinite(self.pair_jitter_ps),
+            "source.pair_jitter_ps must be finite and >= 0",
+        )
 
 
 @dataclass(frozen=True)
 class CoherentSourceConfig:
     """Two independent Poisson beams of ``mean_rate_hz`` each."""
+
+    kind: ClassVar[SourceKind] = SourceKind.COHERENT
+    rate_field: ClassVar[str] = "mean_rate_hz"
+    gating: ClassVar[Gating] = Gating.GENERATOR
 
     mean_rate_hz: float
 
@@ -259,6 +221,10 @@ class ThermalSourceConfig:
     ``splitting_ratio``, and its instantaneous intensity is redrawn from an
     exponential distribution every ``coherence_time_ps``.
     """
+
+    kind: ClassVar[SourceKind] = SourceKind.THERMAL
+    rate_field: ClassVar[str] = "mean_rate_hz"
+    gating: ClassVar[Gating] = Gating.GENERATOR
 
     mean_rate_hz: float
     mode: ThermalMode = ThermalMode.INDEPENDENT_ARMS
@@ -302,6 +268,10 @@ class ClassicalWaveConfig:
     valid for heavy-tailed laws.
     """
 
+    kind: ClassVar[SourceKind] = SourceKind.CLASSICAL_WAVE
+    rate_field: ClassVar[str] = "per_gate_intensity_mean"
+    gating: ClassVar[Gating] = Gating.PER_GATE
+
     herald_rate_hz: float
     per_gate_intensity_mean: float
     intensity_law: IntensityLaw = IntensityLaw.CONSTANT
@@ -328,24 +298,33 @@ class ClassicalWaveConfig:
 
 
 def _poisson_times(
-    rng: np.random.Generator, rate_hz: float, segments: Segments
+    rng: np.random.Generator, rate_hz: float, duration_ps: int, gates: GateList | None = None
 ) -> tuple[np.ndarray, int]:
-    """Sorted Poisson arrival times inside the segments, and the count outside.
+    """Sorted Poisson arrival times inside the gates, and the count outside.
 
     The total is drawn for the whole acquisition; a binomial keeps the share
-    that falls on the segments.  The whole interval skips that draw, so its
-    stream is the plain whole-interval stream.
+    that falls in the gates, and offset u of the concatenated gates is placed
+    at opens[u // window] + u % window.  ``gates=None`` (the whole interval)
+    skips that draw, so its stream is the plain whole-interval stream.
     """
-    mean = rate_hz * segments.duration_ps * 1e-12
+    mean = rate_hz * duration_ps * 1e-12
     n = int(rng.poisson(mean)) if mean > 0 else 0
-    n_in = n
-    if not segments.is_whole:
-        n_in = int(rng.binomial(n, segments.covered_ps / segments.duration_ps))
+    n_in, covered = n, duration_ps
+    if gates is not None:
+        opens, window = gates.opens, gates.window_ps
+        if len(opens) and (opens[0] < 0 or opens[-1] >= duration_ps or not gates.disjoint):
+            raise ConfigError("gates must be sorted, disjoint and open inside the interval")
+        covered = len(opens) * window
+        if covered:
+            covered -= max(0, int(opens[-1]) + window - duration_ps)
+        n_in = int(rng.binomial(n, covered / duration_ps))
     if n_in == 0:
         return np.empty(0, dtype=np.int64), n
-    t = rng.integers(0, segments.covered_ps, size=n_in, dtype=np.int64)
+    t = rng.integers(0, covered, size=n_in, dtype=np.int64)
     t.sort()
-    return segments.place(t), n - n_in
+    if gates is not None:
+        t = opens[t // window] + t % window
+    return t, n - n_in
 
 
 def gen_poisson_arrivals(
@@ -353,25 +332,21 @@ def gen_poisson_arrivals(
     duration_ps: int,
     arm: Arm,
     seed: int,
-    segments: Segments | None = None,
+    gates: GateList | None = None,
 ) -> ArrivalStream:
-    """Homogeneous Poisson arrivals on a single arm, placed only on ``segments``.
+    """Homogeneous Poisson arrivals on a single arm, placed only inside ``gates``.
 
     ``rate_hz`` is the whole-acquisition rate; the arrivals outside the
-    segments (default: the whole interval) are counted in ``unplaced``.
+    gates (default ``None``: the whole interval) are counted in ``unplaced``.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
     if rate_hz < 0:
         raise ConfigError("rate_hz must be >= 0")
-    if segments is None:
-        segments = Segments.whole(duration_ps)
-    elif segments.duration_ps != duration_ps:
-        raise ConfigError("segments must span duration_ps")
     rng = np.random.default_rng(seed)
-    t, unplaced = _poisson_times(rng, rate_hz, segments)
+    t, unplaced = _poisson_times(rng, rate_hz, duration_ps, gates)
     arms = np.full(len(t), int(arm), dtype=np.uint8)
-    return ArrivalStream(duration_ps, t, arms, segments, unplaced)
+    return ArrivalStream(duration_ps, t, arms, gates, unplaced)
 
 
 def gen_pdc_pairs(
@@ -387,7 +362,7 @@ def gen_pdc_pairs(
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
     rng = np.random.default_rng(derive_seed(seed, "pair-times"))
-    t_sig, _ = _poisson_times(rng, config.pair_rate_hz, Segments.whole(duration_ps))
+    t_sig, _ = _poisson_times(rng, config.pair_rate_hz, duration_ps)
     if config.pair_jitter_ps > 0 and len(t_sig):
         jit_rng = np.random.default_rng(derive_seed(seed, "pair-jitter"))
         offsets = np.rint(jit_rng.normal(0.0, config.pair_jitter_ps, size=len(t_sig)))
@@ -429,7 +404,7 @@ def project_idler_path(
         order = np.lexsort((arms, times))
         times = times[order]
         arms = arms[order]
-    return ArrivalStream(idler.duration_ps, times, arms, idler.segments)
+    return ArrivalStream(idler.duration_ps, times, arms, idler.gates)
 
 
 def gen_thermal_arrivals(
@@ -449,12 +424,9 @@ def gen_thermal_arrivals(
     q = config.splitting_ratio
     if config.mode is ThermalMode.INDEPENDENT_ARMS:
         # Factorized case: each arm is its own Poisson process at the per-arm rate.
-        whole = Segments.whole(duration_ps)
-        t1, _ = _poisson_times(
-            np.random.default_rng(derive_seed(seed, "beam1")), config.mean_rate_hz, whole
-        )
-        t2, _ = _poisson_times(
-            np.random.default_rng(derive_seed(seed, "beam2")), config.mean_rate_hz, whole
+        t1, t2 = (
+            _poisson_times(np.random.default_rng(derive_seed(seed, b)), config.mean_rate_hz, duration_ps)[0]
+            for b in ("beam1", "beam2")
         )
     else:
         tau = int(config.coherence_time_ps)

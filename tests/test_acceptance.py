@@ -19,7 +19,7 @@ import pytest
 from coincsim.detectors import detect
 from coincsim.errors import CoincSimError
 from coincsim.estimators import AlphaEstimate, alpha_estimate, sigma_separation
-from coincsim.events import Channel, SeedSpec, merge_streams
+from coincsim.events import Channel, derive_seed, merge_streams
 from coincsim.gating import CountSummary, GateList, count_gates
 from coincsim.scenario import (
     ScenarioConfig,
@@ -131,7 +131,6 @@ def test_criterion_4_thermal_factorized():
 def test_criterion_5_classical_bounds():
     # (a) per-gate wave model across a parameter grid: alpha never drops
     # below 1 beyond noise, exponential law converges to 2
-    spec = SeedSpec(550)
     n = 1_000_000
     floor_ok, exp_ok = True, True
     worst_floor, worst_exp = 0.0, 0.0
@@ -145,9 +144,9 @@ def test_criterion_5_classical_bounds():
                     intensity_law=law,
                     splitting_ratio=q,
                 )
-                p1, p2 = gen_classical_wave_gates(cfg, n, spec.seed_for(case, "I"))
-                f1 = spec.rng_for(case, "f1").random(n) < p1
-                f2 = spec.rng_for(case, "f2").random(n) < p2
+                p1, p2 = gen_classical_wave_gates(cfg, n, derive_seed(550, case, "I"))
+                f1 = np.random.default_rng(derive_seed(550, case, "f1")).random(n) < p1
+                f2 = np.random.default_rng(derive_seed(550, case, "f2")).random(n) < p2
                 est = alpha_estimate(
                     CountSummary(
                         n,

@@ -1,6 +1,6 @@
 """Gate-local generation: arrivals and dark counts placed only inside the gates.
 
-Checks the segment geometry, that the one-segment case is the plain
+Checks where arrivals are placed in the gates, that no gates is the plain
 whole-interval stream, and that gate-local runs are statistically
 equivalent to whole-interval runs of the same experiment.
 """
@@ -18,9 +18,9 @@ from coincsim.gating import GateList, count_gates, make_gates_periodic
 from coincsim.scenario import _beam_segments, parse_config
 from coincsim.sources import (
     Arm,
-    Segments,
     ThermalMode,
     ThermalSourceConfig,
+    _poisson_times,
     gen_poisson_arrivals,
     gen_thermal_arrivals,
 )
@@ -28,72 +28,102 @@ from coincsim.sources import (
 MS = 10**9
 
 
-def in_segments(times, segments):
-    i = np.searchsorted(segments.starts, times, side="right") - 1
-    return (i >= 0) & (times < segments.starts[i] + segments.lengths[i])
+def in_gates(times, gates):
+    i = np.searchsorted(gates.opens, times, side="right") - 1
+    return (i >= 0) & (times < gates.opens[i] + gates.window_ps)
 
 
-class TestSegments:
-    def test_whole_interval(self):
-        seg = Segments.whole(MS)
-        assert seg.is_whole and seg.covered_ps == MS
-        offsets = np.array([0, 5, MS - 1], dtype=np.int64)
-        assert seg.place(offsets) is offsets
+class OneArrivalPerTick:
+    """Stands in for the generator: draws one arrival on every covered tick.
 
-    def test_from_gates_clips_last_gate(self):
+    The total drawn is the whole interval's tick count, so the binomial's
+    mean is the covered tick count, which it returns.
+    """
+
+    def __init__(self, duration_ps):
+        self.duration_ps = self.covered = duration_ps
+
+    def poisson(self, mean):
+        return self.duration_ps
+
+    def binomial(self, n, p):
+        self.covered = round(n * p)
+        return self.covered
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, size) == (0, self.covered, self.covered)
+        return np.arange(high, dtype=dtype)[::-1].copy()
+
+
+def place_every_tick(duration_ps, gates):
+    """(placed times, unplaced count) with one arrival on every covered tick."""
+    return _poisson_times(OneArrivalPerTick(duration_ps), 1.0, duration_ps, gates)
+
+
+class TestGatePlacement:
+    def test_no_gates_is_the_whole_interval(self):
+        times, unplaced = place_every_tick(100, None)
+        np.testing.assert_array_equal(times, np.arange(100))
+        assert unplaced == 0
+
+    def test_covers_the_gates_and_clips_last_gate(self):
         gates = GateList(window_ps=10, opens=np.array([0, 50, 95], dtype=np.int64))
-        seg = Segments.from_gates(gates, 100)
-        assert seg.lengths.tolist() == [10, 10, 5]
-        assert seg.covered_ps == 25 and not seg.is_whole
+        times, unplaced = place_every_tick(100, gates)
+        expected = np.concatenate([np.arange(0, 10), np.arange(50, 60), np.arange(95, 100)])
+        np.testing.assert_array_equal(times, expected)
+        assert unplaced == 75
 
-    def test_place_is_a_bijection_onto_segment_ticks(self):
-        seg = Segments(100, np.array([3, 20, 60]), np.array([4, 1, 7]))
-        placed = seg.place(np.arange(seg.covered_ps, dtype=np.int64))
-        expected = np.concatenate([np.arange(3, 7), [20], np.arange(60, 67)])
-        np.testing.assert_array_equal(placed, expected)
+    def test_place_is_a_bijection_onto_gate_ticks(self):
+        gates = GateList(window_ps=4, opens=np.array([3, 20, 60], dtype=np.int64))
+        times, unplaced = place_every_tick(100, gates)
+        expected = np.concatenate([np.arange(3, 7), np.arange(20, 24), np.arange(60, 64)])
+        np.testing.assert_array_equal(times, expected)
+        assert unplaced == 88
 
     @pytest.mark.parametrize(
-        "starts, lengths",
-        [([0, 5], [6, 2]), ([5, 0], [1, 1]), ([0], [0]), ([95], [10]), ([-1], [2])],
+        "window, opens",
+        [(6, [0, 5]), (1, [5, 0]), (0, [0]), (10, [100]), (2, [-1]), (10, [150])],
+        ids=["overlapping", "unsorted", "empty", "open_at_end", "negative_open", "open_past_end"],
     )
-    def test_rejects_bad_segments(self, starts, lengths):
-        with pytest.raises(ValueError):
-            Segments(100, np.array(starts), np.array(lengths))
+    def test_rejects_bad_gates(self, window, opens):
+        with pytest.raises(ConfigError):
+            gates = GateList(window_ps=window, opens=np.array(opens, dtype=np.int64))
+            gen_poisson_arrivals(1e9, 100, Arm.BEAM1, 1, gates)
 
 
 class TestGateLocalArrivals:
     gates = make_gates_periodic(1e6, MS, 100_000)
-    seg = Segments.from_gates(gates, MS)
 
     def test_whole_segment_is_the_plain_stream(self):
         plain = gen_poisson_arrivals(3e6, MS, Arm.BEAM1, 11)
-        explicit = gen_poisson_arrivals(3e6, MS, Arm.BEAM1, 11, Segments.whole(MS))
-        assert plain == explicit and plain.unplaced == 0
+        explicit = gen_poisson_arrivals(3e6, MS, Arm.BEAM1, 11, None)
+        assert plain == explicit and plain.unplaced == 0 and plain.gates is None
 
     def test_placed_inside_and_total_kept(self):
         plain = gen_poisson_arrivals(3e6, MS, Arm.BEAM1, 11)
-        local = gen_poisson_arrivals(3e6, MS, Arm.BEAM1, 11, self.seg)
-        assert in_segments(local.times, self.seg).all()
+        local = gen_poisson_arrivals(3e6, MS, Arm.BEAM1, 11, self.gates)
+        assert in_gates(local.times, self.gates).all()
         assert np.all(np.diff(local.times) >= 0)
         # the whole-acquisition total is the same first draw
         assert len(local) + local.unplaced == len(plain)
 
     def test_segments_must_span_duration(self):
+        # the gates must open inside the stream's interval
         with pytest.raises(ConfigError):
-            gen_poisson_arrivals(1e6, 2 * MS, Arm.BEAM1, 1, self.seg)
+            gen_poisson_arrivals(1e6, MS // 2, Arm.BEAM1, 1, self.gates)
 
     @pytest.mark.parametrize("kwargs", [{"dead_time_ps": 10}, {"jitter_sigma_ps": 5.0}])
     def test_detector_with_memory_rejects_segments(self, kwargs):
-        arrivals = gen_poisson_arrivals(1e6, MS, Arm.BEAM1, 1, self.seg)
+        arrivals = gen_poisson_arrivals(1e6, MS, Arm.BEAM1, 1, self.gates)
         with pytest.raises(ConfigError):
             detect(arrivals, DetectorConfig(Channel.D1, **kwargs), 2)
 
     def test_dark_counts_placed_inside_and_counted_outside(self):
-        arrivals = gen_poisson_arrivals(0.0, MS, Arm.BEAM1, 1, self.seg)
+        arrivals = gen_poisson_arrivals(0.0, MS, Arm.BEAM1, 1, self.gates)
         det = DetectorConfig(Channel.D1, dark_rate_hz=2e6)
         local = detect(arrivals, det, 3)
         plain = detect(gen_poisson_arrivals(0.0, MS, Arm.BEAM1, 1), det, 3)
-        assert in_segments(local.times, self.seg).all()
+        assert in_gates(local.times, self.gates).all()
         assert len(local) + local.unplaced == len(plain)
 
     def test_independent_thermal_arms_are_the_thermal_substreams(self):
@@ -125,20 +155,20 @@ acquisition_duration_ps = 1000000000
         return _beam_segments(cfg, self.gates)
 
     def test_ideal_detectors_use_the_gates(self):
-        assert self.choose() == Segments.from_gates(self.gates, MS)
+        assert self.choose() is self.gates
         thermal = ThermalSourceConfig(mean_rate_hz=2e6)
-        assert not self.choose(source=thermal).is_whole
+        assert self.choose(source=thermal) is self.gates
 
     @pytest.mark.parametrize("kwargs", [{"dead_time_ps": 10}, {"jitter_sigma_ps": 5.0}])
     def test_detector_memory_falls_back_to_whole(self, kwargs):
         d2 = DetectorConfig(Channel.D2, **kwargs)
-        assert self.choose(d2=d2).is_whole
+        assert self.choose(d2=d2) is None
 
     def test_shared_mode_uses_whole(self):
         shared = ThermalSourceConfig(
             mean_rate_hz=2e6, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10_000
         )
-        assert self.choose(source=shared).is_whole
+        assert self.choose(source=shared) is None
 
 
 # Statistical equivalence: 1 ms acquisitions, 1 MHz gates of 100 ns,
@@ -152,12 +182,12 @@ DETECTORS = (
 N_SEEDS = 400
 
 
-def ensemble(segments, gates, label):
+def ensemble(beam_gates, gates, label):
     rows = []
     for s in range(N_SEEDS):
         events = [
             detect(
-                gen_poisson_arrivals(RATE_HZ, MS, arm, derive_seed(label, s, arm.name), segments),
+                gen_poisson_arrivals(RATE_HZ, MS, arm, derive_seed(label, s, arm.name), beam_gates),
                 det,
                 derive_seed(label, s, det.channel.name),
             )
@@ -175,8 +205,8 @@ EQUIV_GATES = make_gates_periodic(1e6, MS, WINDOW_PS)
 @pytest.fixture(scope="module")
 def samples():
     """(gate-local, whole-interval) ensembles, one row per seed."""
-    local = ensemble(Segments.from_gates(EQUIV_GATES, MS), EQUIV_GATES, "local")
-    return local, ensemble(Segments.whole(MS), EQUIV_GATES, "whole")
+    local = ensemble(EQUIV_GATES, EQUIV_GATES, "local")
+    return local, ensemble(None, EQUIV_GATES, "whole")
 
 
 class TestStatisticalEquivalence:

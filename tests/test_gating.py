@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coincsim.errors import ConfigError
-from coincsim.events import Channel, EventStream, SeedSpec, merge_streams
+from coincsim.events import Channel, EventStream, derive_seed, merge_streams
 from coincsim.gating import (
     CountSummary,
     GateList,
@@ -188,7 +188,7 @@ class TestCountInvariants:
         d1, d2, gates = case
         if len(d1) == 0:
             return
-        rng = SeedSpec(seed).rng_for(0, "split")
+        rng = np.random.default_rng(derive_seed(seed, 0, "split"))
         mask = rng.random(len(d1)) < 0.5
         parts = [
             EventStream(
@@ -204,7 +204,7 @@ class TestCountInvariants:
     def test_expected_coincidence_product(self):
         # independent per-gate Bernoulli detections: E[Nc]/N = p1 p2
         n, p1, p2 = 100_000, 0.23, 0.4
-        rng = SeedSpec(77).rng_for(0, "bernoulli")
+        rng = np.random.default_rng(derive_seed(77, 0, "bernoulli"))
         h1 = rng.random(n) < p1
         h2 = rng.random(n) < p2
         period, window = 100, 50

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from coincsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from coincsim.detectors import DetectorConfig
 from coincsim.errors import ConfigError
 from coincsim.estimators import AlphaEstimate
+from coincsim.events import Channel
 from coincsim.gating import GatePolicy
 from coincsim.scenario import (
     RESULTS_HEADER,
@@ -77,6 +79,7 @@ class TestParseConfig:
         sources = [
             PdcSourceConfig(pair_rate_hz=5e3, pair_jitter_ps=120.0),
             CoherentSourceConfig(mean_rate_hz=2.9e6),
+            ThermalSourceConfig(mean_rate_hz=1e6, mode=ThermalMode.INDEPENDENT_ARMS),
             ThermalSourceConfig(
                 mean_rate_hz=1e6,
                 mode=ThermalMode.SHARED_SINGLE_MODE,
@@ -90,10 +93,21 @@ class TestParseConfig:
                 splitting_ratio=0.5,
             ),
         ]
+        detectors = {
+            "trigger": DetectorConfig(Channel.TRIGGER, dead_time_ps=50_000, jitter_sigma_ps=40.5),
+            "d1": DetectorConfig(
+                Channel.D1, efficiency=0.7, dark_rate_hz=250.0, dead_time_ps=45_000
+            ),
+            "d2": DetectorConfig(Channel.D2, jitter_sigma_ps=0.25),
+        }
         for src in sources:
             kw = {}
             if isinstance(src, (CoherentSourceConfig, ThermalSourceConfig)):
                 kw["gate_rate_hz"] = 65_000.0
+            if not isinstance(src, ClassicalWaveConfig):
+                kw.update(d1=detectors["d1"], d2=detectors["d2"])
+            if isinstance(src, PdcSourceConfig):
+                kw["trigger"] = detectors["trigger"]
             cfg = ScenarioConfig(
                 source=src,
                 window_ps=7000,
@@ -162,6 +176,17 @@ class TestParseConfig:
     def test_acquisitions_must_be_positive(self):
         with pytest.raises(ConfigError, match="acquisitions"):
             parse_config(PDC_MINIMAL + "\n[run]\nacquisitions = 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "line",
+        ["pair_jitter_ps", "[detector.trigger]\njitter_sigma_ps", "[detector.d2]\njitter_sigma_ps"],
+        ids=["source", "trigger", "d2"],
+    )
+    def test_non_finite_jitter_rejected(self, line, value):
+        key = line.split("\n")[-1]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{PDC_MINIMAL}{line} = {value}\n")
 
     def test_multiplier_must_keep_source_valid(self):
         # scaling a wave source past the linear cap fails at parse time
@@ -427,6 +452,17 @@ class TestCli:
             main(["analyze", "--input", str(tmp_path / "nope.csv"), "--format", "csv"])
             == EXIT_DATA
         )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--window-ns", "nan"), ("--window-ns", "inf"), ("--window-ns", "1e300"),
+         ("--window-ns", "0"), ("--duration-ps", "0"), ("--duration-ps", "-5")],
+    )
+    def test_analyze_bad_option_exits_2_before_reading(self, tmp_path, capsys, flag, value):
+        # the input file does not exist: the option is checked first
+        argv = ["analyze", "--input", str(tmp_path / "nope.csv"), "--format", "csv"]
+        assert main(argv + [flag, value]) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
 
     def test_analyze_no_gate_events_exits_3(self, tmp_path, capsys):
         # no trigger events -> zero gates -> estimate undefined
