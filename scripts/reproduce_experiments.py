@@ -4,9 +4,9 @@
 For each ``configs/*.cfg`` this runs the full simulation, writes
 ``<out-dir>/<name>.csv``, and prints a one-line summary comparing the
 combined alpha against the model prediction.  On a 2-core VM the whole set
-takes about 80 s: thermal_bunched_short ~40 s, pdc_sweep ~22 s,
-thermal_bunched_long ~13 s, the rest 2 s or less each.  ``--only`` selects
-a subset by name.
+takes about 40 s: pdc_sweep ~19 s, thermal_bunched_short ~11 s,
+thermal_bunched_long ~3 s, pdc_low_rate ~3 s, the rest under 1 s each.
+``--only`` selects a subset by name.
 """
 
 from __future__ import annotations

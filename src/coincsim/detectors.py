@@ -15,7 +15,8 @@ Each stage draws from its own derived substream, so changing e.g. the dark
 rate does not perturb which photons were kept.
 
 Arrivals generated inside gates (``ArrivalStream.gates``, see
-``coincsim.sources``) carry the count of arrivals outside them.  The
+``coincsim.sources``) carry the count of arrivals outside them (one arm's
+count, for a stream taken with ``select_arm``).  The
 detector thins that count with one binomial draw and places dark counts in
 the same gates, counting the ones outside; the output's ``unplaced`` holds
 both counts, so ``len(events) + events.unplaced`` keeps its

@@ -13,13 +13,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Channel",
-    "Event",
     "EventStream",
     "StreamViolation",
     "ValidationReport",
@@ -37,11 +35,6 @@ class Channel(IntEnum):
     D1 = 1       # transmitted-path detector
     D2 = 2       # reflected-path detector
     GATE_GEN = 3  # gate pulse generator
-
-
-class Event(NamedTuple):
-    channel: Channel
-    t_ps: int
 
 
 def _as_times(times) -> np.ndarray:
@@ -98,17 +91,6 @@ class EventStream:
             and np.array_equal(self.channels, other.channels)
             and self.unplaced == other.unplaced
         )
-
-    @classmethod
-    def from_events(cls, duration_ps: int, events: Iterable[Event | tuple]) -> "EventStream":
-        """Build a stream from (channel, t_ps) pairs, preserving given order."""
-        evs = list(events)
-        times = np.fromiter((e[1] for e in evs), dtype=np.int64, count=len(evs))
-        codes = np.fromiter((int(e[0]) for e in evs), dtype=np.uint8, count=len(evs))
-        return cls(duration_ps, times, codes)
-
-    def events(self) -> list[Event]:
-        return [Event(Channel(int(c)), int(t)) for c, t in zip(self.channels, self.times)]
 
     def select_channel(self, channel: Channel) -> "EventStream":
         """Sub-stream containing only events on one channel (order kept)."""
@@ -201,9 +183,8 @@ def filter_min_separation(times: np.ndarray, min_sep_ps: int) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     starts = np.nonzero(np.concatenate(([True], gap_ok)))[0]
     ends = np.concatenate((starts[1:], [n]))
-    for s, e in zip(starts, ends):
-        if e - s < 2:
-            continue
+    runs = ends - starts >= 2
+    for s, e in zip(starts[runs].tolist(), ends[runs].tolist()):
         last = times[s]
         for i in range(s + 1, e):
             if times[i] - last >= min_sep_ps:

@@ -111,6 +111,9 @@ __all__ = [
 SourceConfig = PdcSourceConfig | CoherentSourceConfig | ThermalSourceConfig | ClassicalWaveConfig
 
 PICOSECONDS_PER_SECOND = 10**12
+# Shared-mode thermal light draws one intensity per coherence block; about
+# twice the 1.43e7 blocks of configs/thermal_bunched_long.cfg.
+MAX_COHERENCE_BLOCKS = 3 * 10**7
 
 
 _DEFAULT_EFFICIENCY = {Channel.TRIGGER: 0.4, Channel.D1: 0.5, Channel.D2: 0.5}
@@ -223,6 +226,14 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"sweep.overall_points entry {p} outside 1..{len(self.multipliers)}"
                     )
+        source = self.source
+        if isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.SHARED_SINGLE_MODE:
+            blocks = -(-self.acquisition_duration_ps // source.coherence_time_ps)
+            if blocks > MAX_COHERENCE_BLOCKS:
+                raise ConfigError(
+                    f"run.acquisition_duration_ps / source.coherence_time_ps gives {blocks} "
+                    f"coherence blocks per acquisition, more than {MAX_COHERENCE_BLOCKS}"
+                )
         # Scaling must stay valid at every sweep point; surfaces range errors
         # (e.g. the wave model's linear-regime cap) at parse time.
         for m in self.multipliers:
@@ -474,16 +485,12 @@ class _AcqTotals:
 def _beam_segments(config: ScenarioConfig, gates: GateList) -> GateList | None:
     """Where a generator-gated run places its beam arrivals.
 
-    Two Poisson beams seen by detectors without jitter or dead time only
-    need their arrivals inside the gates: nothing outside one can change a
-    count.  Every other case gets the whole interval (``None``).
+    Detectors without jitter or dead time only need the arrivals inside the
+    gates: nothing outside one can change a count.  A detector with either
+    gets the whole interval (``None``).
     """
-    source = config.source
-    poisson_beams = isinstance(source, CoherentSourceConfig) or (
-        isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.INDEPENDENT_ARMS
-    )
     ideal = all(d.dead_time_ps == 0 and d.jitter_sigma_ps == 0 for d in (config.d1, config.d2))
-    return gates if poisson_beams and ideal else None
+    return gates if ideal else None
 
 
 def _acquire(
@@ -526,18 +533,14 @@ def _acquire(
         )
         return _AcqTotals(counts, n_gates, counts.n1, counts.n2)
 
-    if isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.SHARED_SINGLE_MODE:
-        both = gen_thermal_arrivals(source, dur, seed("source"))
+    if isinstance(source, ThermalSourceConfig):
+        both = gen_thermal_arrivals(source, dur, seed("source"), beam_gates)
         b1 = both.select_arm(Arm.BEAM1)
         b2 = both.select_arm(Arm.BEAM2)
-    else:  # two independent Poisson beams
-        if isinstance(source, CoherentSourceConfig):
-            seeds = [seed(f"beam{k}") for k in (1, 2)]
-        else:  # the substreams gen_thermal_arrivals draws independent arms from
-            seeds = [derive_seed(seed("source"), f"beam{k}") for k in (1, 2)]
+    else:  # coherent light: two independent Poisson beams
         b1, b2 = (
-            gen_poisson_arrivals(source.mean_rate_hz, dur, arm, s, beam_gates)
-            for arm, s in zip((Arm.BEAM1, Arm.BEAM2), seeds)
+            gen_poisson_arrivals(source.mean_rate_hz, dur, arm, seed(f"beam{k}"), beam_gates)
+            for k, arm in ((1, Arm.BEAM1), (2, Arm.BEAM2))
         )
     d1_ev = detect(b1, config.d1, seed("det-d1"))
     d2_ev = detect(b2, config.d2, seed("det-d2"))

@@ -38,17 +38,27 @@ whole interval.  The whole-acquisition total N is drawn as before;
 n_in ~ Binomial(N, covered / duration) of those arrivals are placed
 uniformly on the gate ticks (a last gate running past the interval's end is
 clipped there), and the other N - n_in are carried on the stream as a count
-(``ArrivalStream.unplaced``).  Restricting a Poisson process to a set gives
-a Poisson process (Kingman, *Poisson Processes*, 1993), so the placed
-arrivals have exactly the law of the whole-interval arrivals that fall
-inside the gates, and ``len(stream) + unplaced`` keeps the
+per arm (``ArrivalStream.unplaced_by_arm``).  Restricting a Poisson process
+to a set gives a Poisson process (Kingman, *Poisson Processes*, 1993), so
+the placed arrivals have exactly the law of the whole-interval arrivals that
+fall inside the gates, and ``len(stream) + unplaced`` keeps the
 whole-acquisition distribution.  Rates (``rate_hz``, ``mean_rate_hz``) stay
-whole-acquisition rates.  The scenario runner places the two Poisson-beam
-kinds (coherent, and thermal light with independent arms) on the periodic
-gates when neither beam detector has dead time or jitter; then no event
-outside a gate can reach a count, and the result is exact.  Every other
-case uses the whole interval (``gates=None``), for which no binomial is
-drawn and the streams are those of a plain run.
+whole-acquisition rates.
+
+Shared-mode thermal light is, given its block intensities, a Poisson process
+whose rate is constant on each coherence block (Mandel & Wolf, *Optical
+Coherence and Quantum Optics*, 1995); restricted to the gates it is again
+one, with the gates cut at the block edges.  Each arm draws its in-gate
+count from the in-gate mean and places every arrival by inverting the
+cumulative mean, first over the gates and then over the blocks, and draws
+its outside count from the rest of the whole-acquisition mean.  The same
+routine with the whole interval as the one gate gives the plain stream.
+
+The scenario runner places every generator-gated kind (coherent and thermal
+light) on the periodic gates when neither beam detector has dead time or
+jitter; then no event outside a gate can reach a count, and the result is
+exact up to the picosecond tick.  Every other case uses the whole interval
+(``gates=None``), for which no outside count is drawn.
 
 Each source config class also states the facts the scenario runner needs
 about its kind: ``kind``, the field a sweep multiplier scales
@@ -57,9 +67,9 @@ about its kind: ``kind``, the field a sweep multiplier scales
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import ClassVar
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -117,15 +127,15 @@ class ArrivalStream:
     """Photon arrivals at an optical plane, canonically ordered like events.
 
     ``times`` holds the arrivals inside ``gates`` (default ``None``: the
-    whole interval); ``unplaced`` counts the arrivals of the acquisition that
-    fell outside them and were not placed.
+    whole interval); ``unplaced_by_arm`` counts, per arm label, the arrivals
+    of the acquisition that fell outside them and were not placed.
     """
 
     duration_ps: int
     times: np.ndarray
     arms: np.ndarray
     gates: GateList | None = None
-    unplaced: int = 0
+    unplaced_by_arm: Mapping[Arm, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.duration_ps <= 0:
@@ -134,12 +144,19 @@ class ArrivalStream:
         a = np.asarray(self.arms, dtype=np.uint8)
         if t.ndim != 1 or a.shape != t.shape:
             raise ValueError("times and arms must be parallel 1-d arrays")
-        if self.unplaced < 0:
-            raise ValueError("unplaced must be >= 0")
+        unplaced = {arm: n for arm, n in self.unplaced_by_arm.items() if n}
+        if min(unplaced.values(), default=0) < 0:
+            raise ValueError("unplaced counts must be >= 0")
         t.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "arms", a)
+        object.__setattr__(self, "unplaced_by_arm", unplaced)
+
+    @property
+    def unplaced(self) -> int:
+        """Arrivals outside the gates, over all arms."""
+        return sum(self.unplaced_by_arm.values())
 
     def __len__(self) -> int:
         return len(self.times)
@@ -152,14 +169,16 @@ class ArrivalStream:
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.arms, other.arms)
             and self.gates == other.gates
-            and self.unplaced == other.unplaced
+            and self.unplaced_by_arm == other.unplaced_by_arm
         )
 
     def select_arm(self, arm: Arm) -> "ArrivalStream":
-        if self.unplaced:
-            raise ValueError("unplaced arrivals carry no arm label and cannot be split")
+        """The arrivals on one arm, with that arm's unplaced count."""
         mask = self.arms == np.uint8(int(arm))
-        return ArrivalStream(self.duration_ps, self.times[mask], self.arms[mask], self.gates)
+        unplaced = {arm: self.unplaced_by_arm.get(arm, 0)}
+        return ArrivalStream(
+            self.duration_ps, self.times[mask], self.arms[mask], self.gates, unplaced
+        )
 
 
 def _require(cond: bool, message: str) -> None:
@@ -297,6 +316,14 @@ class ClassicalWaveConfig:
         )
 
 
+def _checked(gates: GateList, duration_ps: int) -> GateList:
+    """``gates``, once they are known to be sorted, disjoint and open inside the interval."""
+    opens = gates.opens
+    if len(opens) and (opens[0] < 0 or opens[-1] >= duration_ps or not gates.disjoint):
+        raise ConfigError("gates must be sorted, disjoint and open inside the interval")
+    return gates
+
+
 def _poisson_times(
     rng: np.random.Generator, rate_hz: float, duration_ps: int, gates: GateList | None = None
 ) -> tuple[np.ndarray, int]:
@@ -311,9 +338,7 @@ def _poisson_times(
     n = int(rng.poisson(mean)) if mean > 0 else 0
     n_in, covered = n, duration_ps
     if gates is not None:
-        opens, window = gates.opens, gates.window_ps
-        if len(opens) and (opens[0] < 0 or opens[-1] >= duration_ps or not gates.disjoint):
-            raise ConfigError("gates must be sorted, disjoint and open inside the interval")
+        opens, window = _checked(gates, duration_ps).opens, gates.window_ps
         covered = len(opens) * window
         if covered:
             covered -= max(0, int(opens[-1]) + window - duration_ps)
@@ -346,7 +371,7 @@ def gen_poisson_arrivals(
     rng = np.random.default_rng(seed)
     t, unplaced = _poisson_times(rng, rate_hz, duration_ps, gates)
     arms = np.full(len(t), int(arm), dtype=np.uint8)
-    return ArrivalStream(duration_ps, t, arms, gates, unplaced)
+    return ArrivalStream(duration_ps, t, arms, gates, {arm: unplaced})
 
 
 def gen_pdc_pairs(
@@ -407,10 +432,68 @@ def project_idler_path(
     return ArrivalStream(idler.duration_ps, times, arms, idler.gates)
 
 
+def _blocked_rate_times(
+    rngs: list[np.random.Generator],
+    shares: tuple[float, ...],
+    rate: np.ndarray,
+    tau: int,
+    duration_ps: int,
+    gates: GateList | None = None,
+) -> list[tuple[np.ndarray, int]]:
+    """Per arm: sorted arrivals inside ``gates`` and the count outside them.
+
+    The photon rate (per ps) is ``rate[b]`` on block b = [b*tau, (b+1)*tau),
+    the last block ending at ``duration_ps``, and arm k receives
+    ``shares[k]`` of it.  Inside the gates (default ``None``: the whole
+    interval) arm k draws Poisson(share * in-gate mean) arrivals and places
+    each by inverting the cumulative mean: a uniform on [0, in-gate mean)
+    picks a gate through the gates' cumulative means, and then a block and
+    an offset in it through the blocks' cumulative means, so a gate that
+    straddles block edges is cut there.  Outside the gates arm k draws only
+    a count, Poisson(share * (whole-interval mean - in-gate mean)).
+    """
+    at_edge = np.zeros(len(rate) + 1)  # mean photon number before each block edge
+    np.cumsum(rate, out=at_edge[1:])
+    at_edge *= tau
+    at_edge[-1] -= rate[-1] * (len(rate) * tau - duration_ps)
+
+    def mean_before(t: np.ndarray) -> np.ndarray:
+        """Mean photon number in [0, t), for 0 <= t <= duration_ps."""
+        b = np.minimum(t // tau, len(rate) - 1)
+        mean = rate[b] * (t - b * tau)
+        mean += at_edge[b]
+        return mean
+
+    if gates is None:
+        lo, hi = np.zeros(1, dtype=np.int64), np.array([duration_ps], dtype=np.int64)
+    else:
+        lo = _checked(gates, duration_ps).opens
+        hi = np.minimum(lo + gates.window_ps, duration_ps)
+    lo_mean = mean_before(lo)
+    gate_cum = np.cumsum(mean_before(hi) - lo_mean)
+    inside = float(gate_cum[-1]) if len(gate_cum) else 0.0
+    outside = 0.0 if gates is None else max(float(at_edge[-1]) - inside, 0.0)
+    placed = []
+    for rng, share in zip(rngs, shares):
+        n = int(rng.poisson(share * inside)) if share * inside > 0 else 0
+        x = rng.random(n)
+        x.sort()
+        x *= inside
+        g = np.searchsorted(gate_cum[:-1], x, side="right")
+        y = x - np.where(g > 0, gate_cum[g - 1], 0.0) + lo_mean[g]  # mean before the arrival
+        b = np.searchsorted(at_edge[1:-1], y, side="right")
+        offset = ((y - at_edge[b]) / rate[b]).astype(np.int64)
+        t = b * tau + np.minimum(offset, tau - 1)
+        np.clip(t, lo[g], hi[g] - 1, out=t)  # rounding at the block and gate edges
+        n_out = int(rng.poisson(share * outside)) if share * outside > 0 else 0
+        placed.append((t, n_out))
+    return placed
+
+
 def gen_thermal_arrivals(
-    config: ThermalSourceConfig, duration_ps: int, seed: int
+    config: ThermalSourceConfig, duration_ps: int, seed: int, gates: GateList | None = None
 ) -> ArrivalStream:
-    """Thermal arrivals on BEAM1/BEAM2 as one merged stream.
+    """Thermal arrivals on BEAM1/BEAM2 as one merged stream, placed inside ``gates``.
 
     INDEPENDENT_ARMS draws two unrelated Poisson processes.  In
     SHARED_SINGLE_MODE the interval is tiled with blocks of length
@@ -418,37 +501,25 @@ def gen_thermal_arrivals(
     draw per block scales the rate of *both* arms, and conditional on the
     intensity profile the two arms are independent Poisson processes.  The
     common intensity is what correlates the arms.
+
+    Either way the arrivals outside the gates (default ``None``: the whole
+    interval) are only counted, per arm, in ``unplaced_by_arm``.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
-    q = config.splitting_ratio
+    rngs = [np.random.default_rng(derive_seed(seed, f"beam{k}")) for k in (1, 2)]
     if config.mode is ThermalMode.INDEPENDENT_ARMS:
         # Factorized case: each arm is its own Poisson process at the per-arm rate.
-        t1, t2 = (
-            _poisson_times(np.random.default_rng(derive_seed(seed, b)), config.mean_rate_hz, duration_ps)[0]
-            for b in ("beam1", "beam2")
-        )
+        placed = [_poisson_times(rng, config.mean_rate_hz, duration_ps, gates) for rng in rngs]
     else:
         tau = int(config.coherence_time_ps)
         n_blocks = -(-duration_ps // tau)  # ceil division
-        starts = np.arange(n_blocks, dtype=np.int64) * tau
-        lengths = np.full(n_blocks, tau, dtype=np.int64)
-        lengths[-1] = duration_ps - starts[-1]
         int_rng = np.random.default_rng(derive_seed(seed, "intensity"))
-        intensity = int_rng.standard_exponential(n_blocks)  # mean 1
-        block_mean = intensity * (lengths * 1e-12) * config.mean_rate_hz
-        t1 = _blocked_poisson(
-            np.random.default_rng(derive_seed(seed, "beam1")),
-            starts,
-            lengths,
-            block_mean * q,
-        )
-        t2 = _blocked_poisson(
-            np.random.default_rng(derive_seed(seed, "beam2")),
-            starts,
-            lengths,
-            block_mean * (1.0 - q),
-        )
+        rate = int_rng.standard_exponential(n_blocks)  # mean 1
+        rate *= config.mean_rate_hz * 1e-12
+        q = config.splitting_ratio
+        placed = _blocked_rate_times(rngs, (q, 1.0 - q), rate, tau, duration_ps, gates)
+    (t1, out1), (t2, out2) = placed
     times = np.concatenate([t1, t2])
     arms = np.concatenate(
         [
@@ -457,25 +528,8 @@ def gen_thermal_arrivals(
         ]
     )
     order = np.lexsort((arms, times))
-    return ArrivalStream(duration_ps, times[order], arms[order])
-
-
-def _blocked_poisson(
-    rng: np.random.Generator,
-    starts: np.ndarray,
-    lengths: np.ndarray,
-    block_mean: np.ndarray,
-) -> np.ndarray:
-    """Poisson arrivals with a piecewise-constant intensity over blocks."""
-    counts = rng.poisson(block_mean)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    base = np.repeat(starts, counts)
-    span = np.repeat(lengths, counts)
-    t = base + np.floor(rng.random(total) * span).astype(np.int64)
-    t.sort()
-    return t
+    unplaced = {Arm.BEAM1: out1, Arm.BEAM2: out2}
+    return ArrivalStream(duration_ps, times[order], arms[order], gates, unplaced)
 
 
 def gen_classical_wave_gates(

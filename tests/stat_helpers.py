@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable, NamedTuple
+
 import numpy as np
 from scipy import stats
 
@@ -38,11 +40,29 @@ def poisson_chisq_pvalue(counts, mean: float) -> float:
     return float(stats.chi2.sf(chi2, dof))
 
 
+class Event(NamedTuple):
+    channel: Channel
+    t_ps: int
+
+
+def stream_from_events(duration_ps: int, events: Iterable[Event | tuple]) -> EventStream:
+    """Build a stream from (channel, t_ps) pairs, preserving given order."""
+    evs = list(events)
+    times = np.fromiter((e[1] for e in evs), dtype=np.int64, count=len(evs))
+    codes = np.fromiter((int(e[0]) for e in evs), dtype=np.uint8, count=len(evs))
+    return EventStream(duration_ps, times, codes)
+
+
+def events_of(stream: EventStream) -> list[Event]:
+    """The stream's events as (channel, t_ps) pairs, in stream order."""
+    return [Event(Channel(int(c)), int(t)) for c, t in zip(stream.channels, stream.times)]
+
+
 def stream_of(duration_ps: int, *events) -> EventStream:
     """Shorthand: stream_of(100, ("D1", 5), ("T", 9))."""
     name_map = {"T": Channel.TRIGGER, "D1": Channel.D1, "D2": Channel.D2, "G": Channel.GATE_GEN}
     pairs = [(name_map[ch] if isinstance(ch, str) else ch, t) for ch, t in events]
-    return EventStream.from_events(duration_ps, pairs)
+    return stream_from_events(duration_ps, pairs)
 
 
 def estream_from_arrays(duration_ps: int, times: np.ndarray, channel: Channel) -> EventStream:

@@ -3,11 +3,11 @@
 Each criterion prints one ``[criterion N] PASS``/``FAIL`` line (visible with
 ``pytest -s tests/test_acceptance.py``) and then asserts its conditions, so a
 red criterion shows up both in the printed summary and as a test failure.
-The whole module takes about 75 s on a 2-core VM; most of it goes to the
-classical-wave parameter grid (criterion 5, ~50 s) and the heralded rate
-sweep (criterion 2, ~20 s).  The coherent and factorized-thermal runs take
-under a second each because their photons are generated only inside the
-gates.
+The whole module takes about 40 s on a 2-core VM; most of it goes to the
+heralded rate sweep (criterion 2, ~18 s) and to criterion 5 (~14 s, nearly
+all of it the two shared-mode thermal configs, ~11 s and ~3 s).  The
+coherent and thermal runs are fast because their photons are generated
+only inside the gates.
 """
 
 import math

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from coincsim.events import (
     Channel,
-    Event,
     EventStream,
     derive_seed,
     filter_min_separation,
@@ -13,7 +12,7 @@ from coincsim.events import (
     validate_stream,
 )
 
-from stat_helpers import stream_of
+from stat_helpers import Event, events_of, stream_of
 
 DURATION = 10_000
 
@@ -38,7 +37,7 @@ def events_multiset(s: EventStream):
 class TestEventStream:
     def test_from_events_round_trip(self):
         s = stream_of(100, ("T", 3), ("D1", 5), ("D2", 5))
-        assert s.events() == [
+        assert events_of(s) == [
             Event(Channel.TRIGGER, 3),
             Event(Channel.D1, 5),
             Event(Channel.D2, 5),
@@ -82,7 +81,7 @@ class TestMergeStreams:
         a = stream_of(DURATION, ("D1", 5))
         b = stream_of(DURATION, ("D2", 3))
         merged = merge_streams(a, b)
-        assert merged.events() == [Event(Channel.D2, 3), Event(Channel.D1, 5)]
+        assert events_of(merged) == [Event(Channel.D2, 3), Event(Channel.D1, 5)]
 
     def test_tie_broken_by_channel_order(self):
         a = stream_of(DURATION, ("D2", 5))

@@ -2,7 +2,8 @@
 
 Checks where arrivals are placed in the gates, that no gates is the plain
 whole-interval stream, and that gate-local runs are statistically
-equivalent to whole-interval runs of the same experiment.
+equivalent to whole-interval runs of the same experiment, for Poisson beams
+and for shared-mode thermal light.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from coincsim.sources import (
     Arm,
     ThermalMode,
     ThermalSourceConfig,
+    _blocked_rate_times,
     _poisson_times,
     gen_poisson_arrivals,
     gen_thermal_arrivals,
@@ -127,13 +129,22 @@ class TestGateLocalArrivals:
         assert len(local) + local.unplaced == len(plain)
 
     def test_independent_thermal_arms_are_the_thermal_substreams(self):
-        # the scenario draws independent thermal arms as two Poisson beams
-        # from the substreams gen_thermal_arrivals uses
+        # independent thermal arms are two Poisson beams drawn from the
+        # substreams beam1 and beam2
         cfg = ThermalSourceConfig(mean_rate_hz=2e6, mode=ThermalMode.INDEPENDENT_ARMS)
         both = gen_thermal_arrivals(cfg, MS, 99)
         for arm, label in ((Arm.BEAM1, "beam1"), (Arm.BEAM2, "beam2")):
             beam = gen_poisson_arrivals(2e6, MS, arm, derive_seed(99, label))
             assert beam == both.select_arm(arm)
+
+    def test_each_arm_keeps_its_unplaced_count(self):
+        cfg = ThermalSourceConfig(mean_rate_hz=2e6, mode=ThermalMode.INDEPENDENT_ARMS)
+        both = gen_thermal_arrivals(cfg, MS, 99, self.gates)
+        beams = []
+        for arm, label in ((Arm.BEAM1, "beam1"), (Arm.BEAM2, "beam2")):
+            beams.append(gen_poisson_arrivals(2e6, MS, arm, derive_seed(99, label), self.gates))
+            assert beams[-1] == both.select_arm(arm)
+        assert both.unplaced == sum(b.unplaced for b in beams) > 0
 
 
 class TestSegmentChoice:
@@ -164,11 +175,77 @@ acquisition_duration_ps = 1000000000
         d2 = DetectorConfig(Channel.D2, **kwargs)
         assert self.choose(d2=d2) is None
 
-    def test_shared_mode_uses_whole(self):
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [({}, "gates"), ({"dead_time_ps": 10}, None), ({"jitter_sigma_ps": 5.0}, None)],
+        ids=["ideal", "dead_time", "jitter"],
+    )
+    def test_shared_mode_uses_the_gates(self, kwargs, expected):
         shared = ThermalSourceConfig(
             mean_rate_hz=2e6, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10_000
         )
-        assert self.choose(source=shared) is None
+        chosen = self.choose(source=shared, d1=DetectorConfig(Channel.D1, **kwargs))
+        assert chosen is (self.gates if expected == "gates" else None)
+
+
+class TickMidpoints:
+    """Stands in for the generator: one arrival in the middle of every gate tick.
+
+    ``fractions`` are the tick midpoints in units of the in-gate mean.  The
+    first Poisson draw (inside the gates) returns their number, the second
+    (outside) none; the means asked for are kept in ``means``.
+    """
+
+    def __init__(self, fractions):
+        self.fractions = fractions
+        self.means = []
+
+    def poisson(self, mean):
+        self.means.append(mean)
+        return len(self.fractions) if len(self.means) == 1 else 0
+
+    def random(self, n):
+        assert n == len(self.fractions)
+        return self.fractions.copy()
+
+
+# Ten 10 ps blocks of different rates (per ps), the last one cut to 5 ps.
+TAU, DURATION = 10, 95
+BLOCK_RATE = np.array([1.0, 0.25, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5, 1.25, 4.0])
+
+
+def gate_ticks(gates):
+    if gates is None:
+        return np.arange(DURATION)
+    return np.concatenate(
+        [np.arange(o, min(o + gates.window_ps, DURATION)) for o in gates.opens.tolist()]
+    )
+
+
+class TestBlockedRatePlacement:
+    @pytest.mark.parametrize(
+        "window, opens",
+        [(None, None), (4, [0, 8, 33, 92]), (25, [2, 40, 80])],
+        ids=[
+            "whole_interval_is_the_blocks",
+            "straddling_gate_and_clipped_last_gate",
+            "gates_spanning_several_blocks",
+        ],
+    )
+    def test_pieces_tile_the_gates(self, window, opens):
+        gates = None if window is None else GateList(window, np.array(opens, dtype=np.int64))
+        ticks = gate_ticks(gates)
+        tick_mean = BLOCK_RATE[ticks // TAU]
+        inside = tick_mean.sum()
+        rng = TickMidpoints((np.cumsum(tick_mean) - tick_mean / 2) / inside)
+        ((times, unplaced),) = _blocked_rate_times([rng], (1.0,), BLOCK_RATE, TAU, DURATION, gates)
+        # each tick of each gate once, in time order, and nothing else
+        np.testing.assert_array_equal(times, ticks)
+        assert unplaced == 0
+        assert rng.means[0] == pytest.approx(inside)
+        whole = BLOCK_RATE[np.arange(DURATION) // TAU].sum()
+        outside = rng.means[1] if len(rng.means) > 1 else 0.0
+        assert outside == pytest.approx(whole - inside)
 
 
 # Statistical equivalence: 1 ms acquisitions, 1 MHz gates of 100 ns,
@@ -182,20 +259,27 @@ DETECTORS = (
 N_SEEDS = 400
 
 
-def ensemble(beam_gates, gates, label):
+def ensemble(beams, gates, label):
+    """One row per seed: n1, n2, nc and both whole-acquisition event totals."""
     rows = []
     for s in range(N_SEEDS):
         events = [
-            detect(
-                gen_poisson_arrivals(RATE_HZ, MS, arm, derive_seed(label, s, arm.name), beam_gates),
-                det,
-                derive_seed(label, s, det.channel.name),
-            )
-            for arm, det in zip((Arm.BEAM1, Arm.BEAM2), DETECTORS)
+            detect(beam, det, derive_seed(label, s, det.channel.name))
+            for beam, det in zip(beams(label, s), DETECTORS)
         ]
         c = count_gates(gates, *events)
         rows.append([c.n1, c.n2, c.nc] + [len(e) + e.unplaced for e in events])
     return np.array(rows)
+
+
+def poisson_beams(beam_gates):
+    def beams(label, s):
+        return [
+            gen_poisson_arrivals(RATE_HZ, MS, arm, derive_seed(label, s, arm.name), beam_gates)
+            for arm in (Arm.BEAM1, Arm.BEAM2)
+        ]
+
+    return beams
 
 
 COLUMNS = ["n1", "n2", "nc", "events1", "events2"]
@@ -205,8 +289,8 @@ EQUIV_GATES = make_gates_periodic(1e6, MS, WINDOW_PS)
 @pytest.fixture(scope="module")
 def samples():
     """(gate-local, whole-interval) ensembles, one row per seed."""
-    local = ensemble(EQUIV_GATES, EQUIV_GATES, "local")
-    return local, ensemble(None, EQUIV_GATES, "whole")
+    local = ensemble(poisson_beams(EQUIV_GATES), EQUIV_GATES, "local")
+    return local, ensemble(poisson_beams(None), EQUIV_GATES, "whole")
 
 
 class TestStatisticalEquivalence:
@@ -232,3 +316,54 @@ class TestStatisticalEquivalence:
         for channel, det in enumerate(DETECTORS):
             mean = (det.efficiency * RATE_HZ + det.dark_rate_hz) * MS * 1e-12
             assert abs(local[:, 3 + channel].mean() - mean) < 5 * np.sqrt(mean / N_SEEDS)
+
+
+# Shared-mode thermal light in 4 ms acquisitions on the same detectors, with
+# a gate period (997 ns) that shares no large factor with either coherence
+# time.
+SHARED_MS = 4 * MS
+SHARED_GATES = make_gates_periodic(1e12 / 997_000, SHARED_MS, WINDOW_PS)
+SHARED_TAU_PS = {
+    # window < coherence time: about 10% of the gates straddle a block edge
+    "window_below_tau": 1_000_000,
+    # window > coherence time: every gate spans five or six blocks
+    "window_above_tau": 20_000,
+}
+
+
+def shared_beams(tau_ps, beam_gates):
+    cfg = ThermalSourceConfig(
+        mean_rate_hz=RATE_HZ, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=tau_ps
+    )
+
+    def beams(label, s):
+        both = gen_thermal_arrivals(cfg, SHARED_MS, derive_seed(label, s, "source"), beam_gates)
+        return [both.select_arm(arm) for arm in (Arm.BEAM1, Arm.BEAM2)]
+
+    return beams
+
+
+@pytest.fixture(scope="module", params=list(SHARED_TAU_PS))
+def shared_samples(request):
+    """(gate-local, whole-interval) shared-mode ensembles, one row per seed."""
+    tau = SHARED_TAU_PS[request.param]
+    local = ensemble(shared_beams(tau, SHARED_GATES), SHARED_GATES, f"shared-local-{tau}")
+    whole = ensemble(shared_beams(tau, None), SHARED_GATES, f"shared-whole-{tau}")
+    return local, whole
+
+
+class TestSharedModeEquivalence:
+    def test_gate_geometry(self):
+        opens, window = SHARED_GATES.opens, SHARED_GATES.window_ps
+        below = SHARED_TAU_PS["window_below_tau"]
+        straddling = (opens // below != (opens + window - 1) // below).mean()
+        assert 0.08 < straddling < 0.12
+        above = SHARED_TAU_PS["window_above_tau"]
+        assert ((opens + window - 1) // above - opens // above).min() >= 4
+
+    @pytest.mark.parametrize("column", COLUMNS)
+    def test_two_sample_distributions_agree(self, shared_samples, column):
+        local, whole = shared_samples
+        k = COLUMNS.index(column)
+        result = stats.ks_2samp(local[:, k], whole[:, k])
+        assert result.pvalue > 1e-3, (column, result)

@@ -203,6 +203,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="trigger"):
             parse_config(text)
 
+    def test_tiny_coherence_time_rejected(self):
+        # 10**12 coherence blocks per acquisition: refused before any is drawn
+        text = (
+            "[source]\nkind = thermal\nmean_rate_hz = 1e6\nmode = shared_single_mode\n"
+            "coherence_time_ps = 1\n[run]\ngate_rate_hz = 65000\n"
+        )
+        with pytest.raises(ConfigError, match="source.coherence_time_ps") as err:
+            parse_config(text)
+        assert "run.acquisition_duration_ps" in str(err.value)
+
 
 def small_pdc_config(**overrides):
     base = dict(

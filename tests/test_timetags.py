@@ -9,7 +9,7 @@ from coincsim.errors import DataFormatError
 from coincsim.events import Channel, EventStream
 from coincsim.timetags import TimetagFormat, parse_timetag_file, write_timetag_file
 
-from stat_helpers import stream_of
+from stat_helpers import stream_from_events, stream_of
 
 
 def ttag1_bytes(duration, records):
@@ -149,7 +149,7 @@ class TestWriting:
         assert write_timetag_file(back, "ttag1") == raw
 
     def test_invalid_stream_refused(self):
-        bad = EventStream.from_events(10**3, [(Channel.TRIGGER, 500), (Channel.D1, 100)])
+        bad = stream_from_events(10**3, [(Channel.TRIGGER, 500), (Channel.D1, 100)])
         with pytest.raises(DataFormatError):
             write_timetag_file(bad, "csv")
 
