@@ -14,15 +14,17 @@ this order:
 Each stage draws from its own derived substream, so changing e.g. the dark
 rate does not perturb which photons were kept.
 
+A detector sees one arm: it reads the time array of a one-arm stream (a
+generator's one-arm output, or a stream taken with ``select_arm``).
 Arrivals generated inside gates (``ArrivalStream.gates``, see
-``coincsim.sources``) carry the count of arrivals outside them (one arm's
-count, for a stream taken with ``select_arm``).  The
-detector thins that count with one binomial draw and places dark counts in
-the same gates, counting the ones outside; the output's ``unplaced`` holds
-both counts, so ``len(events) + events.unplaced`` keeps its
-whole-acquisition distribution.  This is exact only without jitter and dead
-time (either lets an event outside the gates move or suppress one inside),
-so such detectors reject gate-local arrivals.
+``coincsim.sources``) carry the count of arrivals outside them: one arm's
+count, for a stream taken with ``select_arm``.  The detector thins that
+count with one binomial draw and places dark counts in the same gates,
+counting the ones outside; the output's ``unplaced`` holds both counts, so
+``len(events) + events.unplaced`` keeps its whole-acquisition distribution.
+This is exact only without jitter and dead time (either lets an event
+outside the gates move or suppress one inside), so such detectors reject
+gate-local arrivals.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ All timestamps are integer picoseconds (int64) inside a half-open observation
 interval [0, duration_ps).  Streams are kept in canonical order: sorted by
 time, ties broken by channel code.  Generators and detector models are
 required to emit canonical streams; :func:`validate_stream` reports (rather
-than repairs) violations, which matters when checking externally supplied
-time-tag files.
+than repairs) the first violation, which matters when checking externally
+supplied time-tag files.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "Channel",
     "EventStream",
-    "StreamViolation",
-    "ValidationReport",
     "derive_seed",
     "filter_min_separation",
     "merge_streams",
@@ -113,52 +111,23 @@ def merge_streams(a: EventStream, b: EventStream) -> EventStream:
     return EventStream(a.duration_ps, times[order], codes[order], a.unplaced + b.unplaced)
 
 
-@dataclass(frozen=True)
-class StreamViolation:
-    index: int
-    kind: str  # "ordering" or "range"
-    message: str
+def validate_stream(stream: EventStream) -> str | None:
+    """The first violation of canonical order or timestamp range, or ``None``.
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[StreamViolation, ...]
-
-
-def validate_stream(stream) -> ValidationReport:
-    """Check canonical ordering and timestamp range of a time-tag series.
-
-    Accepts anything exposing ``duration_ps``, ``times`` and a parallel code
-    array (``channels`` on event streams, ``arms`` on raw arrival streams).
-    Returns a report listing every violating index; never raises.
+    Reports the lowest violating index, a range violation before an ordering
+    one at the same index; never raises.
     """
-    times = stream.times
-    codes = getattr(stream, "channels", None)
-    if codes is None:
-        codes = stream.arms
-    duration = stream.duration_ps
-
-    violations: list[StreamViolation] = []
-    bad_range = np.nonzero((times < 0) | (times >= duration))[0]
-    for i in bad_range:
-        violations.append(
-            StreamViolation(int(i), "range", f"t={int(times[i])} outside [0, {duration})")
-        )
-    if len(times) > 1:
-        dt = np.diff(times)
-        dc = np.diff(codes.astype(np.int16))
-        bad_order = np.nonzero((dt < 0) | ((dt == 0) & (dc < 0)))[0] + 1
-        for i in bad_order:
-            violations.append(
-                StreamViolation(
-                    int(i),
-                    "ordering",
-                    f"event at index {int(i)} breaks (time, channel) order",
-                )
-            )
-    violations.sort(key=lambda v: v.index)
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    t, c, duration = stream.times, stream.channels, stream.duration_ps
+    out_of_range = (t < 0) | (t >= duration)
+    out_of_order = np.zeros_like(out_of_range)
+    out_of_order[1:] = (t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1]))
+    bad = out_of_range | out_of_order
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if out_of_range[i]:
+        return f"range violation at event {i}: t={int(t[i])} outside [0, {duration})"
+    return f"ordering violation at event {i}: event at index {i} breaks (time, channel) order"
 
 
 def filter_min_separation(times: np.ndarray, min_sep_ps: int) -> np.ndarray:

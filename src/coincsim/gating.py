@@ -27,11 +27,9 @@ __all__ = [
     "CountSummary",
     "GateList",
     "GatePolicy",
-    "Histogram",
     "count_gates",
     "make_gates_from_trigger",
     "make_gates_periodic",
-    "time_difference_histogram",
 ]
 
 
@@ -185,46 +183,3 @@ def count_gates(gates: GateList, d1: EventStream, d2: EventStream) -> CountSumma
         n2=int(np.count_nonzero(h2)),
         nc=int(np.count_nonzero(h1 & h2)),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Histogram of start-to-stop delays over [lo_ps, hi_ps) in fixed bins."""
-
-    lo_ps: int
-    hi_ps: int
-    bin_width_ps: int
-    counts: np.ndarray
-
-    @property
-    def edges_ps(self) -> np.ndarray:
-        return self.lo_ps + self.bin_width_ps * np.arange(len(self.counts) + 1, dtype=np.int64)
-
-
-def time_difference_histogram(
-    starts: EventStream,
-    stops: EventStream,
-    lo_ps: int,
-    hi_ps: int,
-    bin_width_ps: int,
-) -> Histogram:
-    """Start-stop delay histogram with time-to-amplitude converter semantics.
-
-    For each start event, only the *first* stop event at delay >= lo_ps
-    contributes (a started converter is busy until its stop); the delay is
-    binned if it falls in [lo_ps, hi_ps).  With Poisson stops at rate r the
-    flat accidental floor is r * bin_width * n_starts counts per bin.
-    """
-    if bin_width_ps <= 0:
-        raise ConfigError("bin_width_ps must be positive")
-    if hi_ps <= lo_ps:
-        raise ConfigError("hi_ps must exceed lo_ps")
-    n_bins = -((lo_ps - hi_ps) // bin_width_ps)  # ceil((hi-lo)/width)
-    stop_t = stops.times
-    idx = np.searchsorted(stop_t, starts.times + lo_ps, side="left")
-    valid = idx < len(stop_t)
-    delays = stop_t[idx[valid]] - starts.times[valid]
-    delays = delays[delays < hi_ps]  # >= lo_ps holds by construction
-    bins = (delays - lo_ps) // bin_width_ps
-    counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
-    return Histogram(lo_ps, hi_ps, bin_width_ps, counts)

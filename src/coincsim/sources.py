@@ -25,7 +25,11 @@ Four source models are implemented:
 
 Arrival streams produced here are "physical photons at detector inputs":
 no efficiency, dark counts or electronics are applied yet (see
-``coincsim.detectors``).
+``coincsim.detectors``).  A stream keeps one sorted time array per arm
+(``ArrivalStream.times_by_arm``), so a source that feeds two arms, or the
+idler splitter that sends each photon down one path, hands each arm's
+arrivals on as they were drawn; ``select_arm`` takes out the one arm a
+detector sees.
 
 Homogeneous Poisson streams are generated by drawing the total count
 N ~ Poisson(rate * duration) and then placing N points uniformly on the
@@ -124,34 +128,41 @@ class Gating(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ArrivalStream:
-    """Photon arrivals at an optical plane, canonically ordered like events.
+    """Photon arrivals at an optical plane, one sorted time array per arm.
 
-    ``times`` holds the arrivals inside ``gates`` (default ``None``: the
-    whole interval); ``unplaced_by_arm`` counts, per arm label, the arrivals
-    of the acquisition that fell outside them and were not placed.
+    ``times_by_arm`` holds each arm's arrivals inside ``gates`` (default
+    ``None``: the whole interval); ``unplaced_by_arm`` counts, per arm, the
+    arrivals of the acquisition that fell outside them and were not placed.
     """
 
     duration_ps: int
-    times: np.ndarray
-    arms: np.ndarray
+    times_by_arm: Mapping[Arm, np.ndarray]
     gates: GateList | None = None
     unplaced_by_arm: Mapping[Arm, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.duration_ps <= 0:
             raise ValueError("duration_ps must be positive")
-        t = np.asarray(self.times, dtype=np.int64)
-        a = np.asarray(self.arms, dtype=np.uint8)
-        if t.ndim != 1 or a.shape != t.shape:
-            raise ValueError("times and arms must be parallel 1-d arrays")
+        times_by_arm = {}
+        for arm, times in self.times_by_arm.items():
+            t = np.asarray(times, dtype=np.int64)
+            if t.ndim != 1:
+                raise ValueError("arrival times must be 1-d arrays")
+            t.setflags(write=False)
+            times_by_arm[arm] = t
         unplaced = {arm: n for arm, n in self.unplaced_by_arm.items() if n}
         if min(unplaced.values(), default=0) < 0:
             raise ValueError("unplaced counts must be >= 0")
-        t.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "arms", a)
+        object.__setattr__(self, "times_by_arm", times_by_arm)
         object.__setattr__(self, "unplaced_by_arm", unplaced)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The arrival times of a one-arm stream (see :meth:`select_arm`)."""
+        if len(self.times_by_arm) != 1:
+            raise ValueError("times is defined only for a one-arm stream; use select_arm")
+        (t,) = self.times_by_arm.values()
+        return t
 
     @property
     def unplaced(self) -> int:
@@ -159,26 +170,23 @@ class ArrivalStream:
         return sum(self.unplaced_by_arm.values())
 
     def __len__(self) -> int:
-        return len(self.times)
+        return sum(len(t) for t in self.times_by_arm.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrivalStream):
             return NotImplemented
         return (
             self.duration_ps == other.duration_ps
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.arms, other.arms)
+            and self.times_by_arm.keys() == other.times_by_arm.keys()
+            and all(np.array_equal(t, other.times_by_arm[a]) for a, t in self.times_by_arm.items())
             and self.gates == other.gates
             and self.unplaced_by_arm == other.unplaced_by_arm
         )
 
     def select_arm(self, arm: Arm) -> "ArrivalStream":
         """The arrivals on one arm, with that arm's unplaced count."""
-        mask = self.arms == np.uint8(int(arm))
         unplaced = {arm: self.unplaced_by_arm.get(arm, 0)}
-        return ArrivalStream(
-            self.duration_ps, self.times[mask], self.arms[mask], self.gates, unplaced
-        )
+        return ArrivalStream(self.duration_ps, {arm: self.times_by_arm[arm]}, self.gates, unplaced)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -370,8 +378,7 @@ def gen_poisson_arrivals(
         raise ConfigError("rate_hz must be >= 0")
     rng = np.random.default_rng(seed)
     t, unplaced = _poisson_times(rng, rate_hz, duration_ps, gates)
-    arms = np.full(len(t), int(arm), dtype=np.uint8)
-    return ArrivalStream(duration_ps, t, arms, gates, {arm: unplaced})
+    return ArrivalStream(duration_ps, {arm: t}, gates, {arm: unplaced})
 
 
 def gen_pdc_pairs(
@@ -395,12 +402,8 @@ def gen_pdc_pairs(
         t_idl.sort()
     else:
         t_idl = t_sig.copy()
-    trigger = ArrivalStream(
-        duration_ps, t_sig, np.full(len(t_sig), int(Arm.TRIGGER_ARM), dtype=np.uint8)
-    )
-    idler = ArrivalStream(
-        duration_ps, t_idl, np.full(len(t_idl), int(Arm.IDLER_UNDECIDED), dtype=np.uint8)
-    )
+    trigger = ArrivalStream(duration_ps, {Arm.TRIGGER_ARM: t_sig})
+    idler = ArrivalStream(duration_ps, {Arm.IDLER_UNDECIDED: t_idl})
     return trigger, idler
 
 
@@ -411,25 +414,17 @@ def project_idler_path(
 
     This is where the single-photon character enters the simulation: a photon
     appears on path 1 (with probability ``path1_fraction``) or on path 2, and
-    never on both.  The output stream keeps every timestamp; only the arm
-    labels change.
+    never on both.  The output stream holds the two paths as two arms; each
+    timestamp lands on exactly one of them.
     """
     if not 0.0 <= path1_fraction <= 1.0:
         raise ConfigError("path1_fraction must be in [0, 1]")
     if idler.unplaced:
         raise ValueError("unplaced arrivals carry no time and cannot be projected")
-    rng = np.random.default_rng(seed)
-    n = len(idler)
-    take1 = rng.random(n) < path1_fraction
-    arms = np.where(take1, np.uint8(Arm.IDLER_PATH1), np.uint8(Arm.IDLER_PATH2))
     times = idler.times
-    # Re-canonicalize only if equal timestamps exist; path labels may otherwise
-    # break the tie order.
-    if n > 1 and np.any(np.diff(times) == 0):
-        order = np.lexsort((arms, times))
-        times = times[order]
-        arms = arms[order]
-    return ArrivalStream(idler.duration_ps, times, arms, idler.gates)
+    take1 = np.random.default_rng(seed).random(len(times)) < path1_fraction
+    paths = {Arm.IDLER_PATH1: times[take1], Arm.IDLER_PATH2: times[~take1]}
+    return ArrivalStream(idler.duration_ps, paths, idler.gates)
 
 
 def _blocked_rate_times(
@@ -493,7 +488,7 @@ def _blocked_rate_times(
 def gen_thermal_arrivals(
     config: ThermalSourceConfig, duration_ps: int, seed: int, gates: GateList | None = None
 ) -> ArrivalStream:
-    """Thermal arrivals on BEAM1/BEAM2 as one merged stream, placed inside ``gates``.
+    """Thermal arrivals on the arms BEAM1 and BEAM2, placed inside ``gates``.
 
     INDEPENDENT_ARMS draws two unrelated Poisson processes.  In
     SHARED_SINGLE_MODE the interval is tiled with blocks of length
@@ -520,16 +515,8 @@ def gen_thermal_arrivals(
         q = config.splitting_ratio
         placed = _blocked_rate_times(rngs, (q, 1.0 - q), rate, tau, duration_ps, gates)
     (t1, out1), (t2, out2) = placed
-    times = np.concatenate([t1, t2])
-    arms = np.concatenate(
-        [
-            np.full(len(t1), int(Arm.BEAM1), dtype=np.uint8),
-            np.full(len(t2), int(Arm.BEAM2), dtype=np.uint8),
-        ]
-    )
-    order = np.lexsort((arms, times))
-    unplaced = {Arm.BEAM1: out1, Arm.BEAM2: out2}
-    return ArrivalStream(duration_ps, times[order], arms[order], gates, unplaced)
+    times = {Arm.BEAM1: t1, Arm.BEAM2: t2}
+    return ArrivalStream(duration_ps, times, gates, {Arm.BEAM1: out1, Arm.BEAM2: out2})
 
 
 def gen_classical_wave_gates(

@@ -52,10 +52,9 @@ class TimetagFormat(Enum):
 
 
 def _check_invariants(stream: EventStream, what: str) -> EventStream:
-    report = validate_stream(stream)
-    if not report.ok:
-        v = report.violations[0]
-        raise DataFormatError(f"{what}: {v.kind} violation at event {v.index}: {v.message}")
+    violation = validate_stream(stream)
+    if violation is not None:
+        raise DataFormatError(f"{what}: {violation}")
     return stream
 
 

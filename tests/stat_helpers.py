@@ -8,6 +8,7 @@ import numpy as np
 from scipy import stats
 
 from coincsim.events import Channel, EventStream
+from coincsim.sources import ArrivalStream
 
 
 def poisson_chisq_pvalue(counts, mean: float) -> float:
@@ -38,6 +39,15 @@ def poisson_chisq_pvalue(counts, mean: float) -> float:
     chi2 = ((observed - expected) ** 2 / expected).sum()
     dof = len(expected) - 1
     return float(stats.chi2.sf(chi2, dof))
+
+
+def assert_arms_canonical(stream: ArrivalStream) -> None:
+    """Each arm's arrivals are sorted and inside [0, duration_ps)."""
+    for arm, t in stream.times_by_arm.items():
+        assert np.all(np.diff(t) >= 0), f"{arm.name} arrivals out of order"
+        assert len(t) == 0 or (t[0] >= 0 and t[-1] < stream.duration_ps), (
+            f"{arm.name} arrivals outside [0, {stream.duration_ps})"
+        )
 
 
 class Event(NamedTuple):

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coincsim.errors import DataFormatError
 from coincsim.events import (
     Channel,
     EventStream,
@@ -11,6 +14,7 @@ from coincsim.events import (
     merge_streams,
     validate_stream,
 )
+from coincsim.timetags import parse_timetag_file
 
 from stat_helpers import Event, events_of, stream_of
 
@@ -97,7 +101,7 @@ class TestMergeStreams:
     def test_multiset_union_and_validity(self, a, b):
         merged = merge_streams(a, b)
         assert events_multiset(merged) == sorted(events_multiset(a) + events_multiset(b))
-        assert validate_stream(merged).ok
+        assert validate_stream(merged) is None
 
     @given(canonical_streams(), canonical_streams())
     def test_commutative(self, a, b):
@@ -112,37 +116,45 @@ class TestMergeStreams:
 
 class TestValidateStream:
     def test_ok_stream(self):
-        report = validate_stream(stream_of(100, ("T", 1), ("D1", 1), ("D1", 50)))
-        assert report.ok
-        assert report.violations == ()
+        assert validate_stream(stream_of(100, ("T", 1), ("D1", 1), ("D1", 50))) is None
+
+    def test_empty_stream_ok(self):
+        assert validate_stream(stream_of(100)) is None
 
     def test_ordering_violation_reported_with_index(self):
-        report = validate_stream(stream_of(100, ("D1", 7), ("D1", 3)))
-        assert not report.ok
-        assert report.violations[0].index == 1
-        assert report.violations[0].kind == "ordering"
+        message = validate_stream(stream_of(100, ("D1", 7), ("D1", 3)))
+        assert message.startswith("ordering violation at event 1:")
 
     def test_channel_tie_break_violation(self):
         # same timestamp, decreasing channel order
-        report = validate_stream(stream_of(100, ("D2", 5), ("D1", 5)))
-        assert not report.ok
-        assert report.violations[0].kind == "ordering"
+        message = validate_stream(stream_of(100, ("D2", 5), ("D1", 5)))
+        assert message.startswith("ordering violation")
 
     def test_timestamp_at_duration_is_out_of_range(self):
-        report = validate_stream(stream_of(100, ("D1", 100)))
-        assert not report.ok
-        assert report.violations[0].kind == "range"
+        message = validate_stream(stream_of(100, ("D1", 100)))
+        assert message == "range violation at event 0: t=100 outside [0, 100)"
 
     def test_negative_timestamp(self):
-        report = validate_stream(stream_of(100, ("D1", -1)))
-        assert not report.ok
-        assert report.violations[0].kind == "range"
+        message = validate_stream(stream_of(100, ("D1", -1)))
+        assert message.startswith("range violation")
 
-    def test_all_violations_listed(self):
-        report = validate_stream(stream_of(100, ("D1", 50), ("D1", 10), ("D1", 200)))
-        kinds = {(v.index, v.kind) for v in report.violations}
-        assert (1, "ordering") in kinds
-        assert (2, "range") in kinds
+    def test_lowest_index_wins(self):
+        # ordering at 1 comes before range at 2; range beats ordering at 3
+        assert validate_stream(
+            stream_of(100, ("D1", 50), ("D1", 10), ("D1", 200))
+        ).startswith("ordering violation at event 1:")
+        assert validate_stream(
+            stream_of(100, ("D1", 10), ("D1", 20), ("D1", 30), ("D1", -5))
+        ).startswith("range violation at event 3:")
+
+    def test_reversed_million_record_file_rejected_at_event_1(self):
+        n = 10**6
+        records = np.empty(n, dtype=[("t", "<i8"), ("ch", "u1")])
+        records["t"] = np.arange(n)[::-1]
+        records["ch"] = int(Channel.D1)
+        data = struct.pack("<5sBQ", b"TTAG1", 1, n) + records.tobytes()
+        with pytest.raises(DataFormatError, match="ordering violation at event 1:"):
+            parse_timetag_file(data, "ttag1")
 
 
 class TestSeeding:

@@ -12,7 +12,6 @@ from coincsim.gating import (
     count_gates,
     make_gates_from_trigger,
     make_gates_periodic,
-    time_difference_histogram,
 )
 from coincsim.gating import _gate_hits, _hits_by_event, _hits_by_gate
 
@@ -216,72 +215,6 @@ class TestCountInvariants:
         assert c.n1 == h1.sum() and c.n2 == h2.sum()
         sigma = np.sqrt(p1 * p2 * (1 - p1 * p2) / n)
         assert abs(c.nc / n - p1 * p2) < 3 * sigma
-
-
-class TestTimeDifferenceHistogram:
-    def test_no_stops_all_zero(self):
-        h = time_difference_histogram(
-            estream([0, 100]), estream([]), lo_ps=0, hi_ps=1000, bin_width_ps=100
-        )
-        assert h.counts.sum() == 0
-        assert len(h.counts) == 10
-
-    def test_fixed_delay_single_bin(self):
-        starts = np.arange(0, 10**6, 1000, dtype=np.int64)
-        h = time_difference_histogram(
-            estream(starts), estream(starts + 357), lo_ps=0, hi_ps=1000, bin_width_ps=100
-        )
-        assert h.counts[3] == len(starts)
-        assert h.counts.sum() == len(starts)
-
-    def test_first_stop_semantics(self):
-        # only the first stop at/after start+lo is recorded
-        h = time_difference_histogram(
-            estream([0]), estream([10, 20, 30]), lo_ps=0, hi_ps=100, bin_width_ps=10
-        )
-        assert h.counts.tolist()[1] == 1
-        assert h.counts.sum() == 1
-
-    def test_lo_offset_skips_early_stops(self):
-        h = time_difference_histogram(
-            estream([0]), estream([10, 250]), lo_ps=200, hi_ps=400, bin_width_ps=100
-        )
-        assert h.counts.tolist() == [1, 0]
-
-    def test_edges_cover_requested_range(self):
-        h = time_difference_histogram(
-            estream([]), estream([]), lo_ps=-500, hi_ps=500, bin_width_ps=250
-        )
-        assert h.edges_ps.tolist() == [-500, -250, 0, 250, 500]
-
-    def test_pdc_peak_rises_above_accidental_floor(self):
-        from coincsim.detectors import DetectorConfig, detect
-        from coincsim.sources import Arm, PdcSourceConfig, gen_pdc_pairs, project_idler_path
-
-        duration = 10**11  # 100 ms
-        trig, idl = gen_pdc_pairs(PdcSourceConfig(pair_rate_hz=5e5), duration, seed=10)
-        idl = project_idler_path(idl, seed=11)
-        start_det = detect(
-            trig, DetectorConfig(channel=Channel.TRIGGER, efficiency=0.9), seed=12
-        )
-        stop_det = detect(
-            idl.select_arm(Arm.IDLER_PATH1),
-            DetectorConfig(channel=Channel.D1, efficiency=0.9, dark_rate_hz=2e5),
-            seed=13,
-        )
-        bin_w = 100
-        h = time_difference_histogram(
-            start_det, stop_det, lo_ps=-5000, hi_ps=5000, bin_width_ps=bin_w
-        )
-        peak_bin = int(np.argmax(h.counts))
-        # true pairs sit at zero delay
-        assert h.edges_ps[peak_bin] <= 0 <= h.edges_ps[peak_bin + 1]
-        off_peak = np.r_[h.counts[: peak_bin - 1], h.counts[peak_bin + 2 :]]
-        assert h.counts[peak_bin] > 10 * max(off_peak.mean(), 1)
-        # accidental floor: stop rate x bin width x number of starts
-        stop_rate = len(stop_det) / duration
-        floor = stop_rate * bin_w * len(start_det)
-        assert 0.4 * floor < off_peak.mean() < 1.2 * floor
 
 
 @st.composite

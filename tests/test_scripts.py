@@ -1,0 +1,40 @@
+"""Smoke tests: each script in ``scripts/`` runs end to end on a tiny input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_rate_sweep_prints_csv():
+    proc = run_script("rate_sweep.py", "--acquisitions", "1", "--multipliers", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "trigger_rate_cps,alpha,sigma,expected_alpha,pull"
+    assert len(lines) == 2
+
+
+def test_reproduce_experiments_writes_results_csv(tmp_path):
+    proc = run_script(
+        "reproduce_experiments.py", "--only", "classical_wave", "--out-dir", str(tmp_path)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("classical_wave: alpha = ")
+    header = (tmp_path / "classical_wave.csv").read_text().splitlines()[0]
+    assert header == "point,rate_cps,N,N1,N2,Nc,alpha,sigma"

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from coincsim.errors import ConfigError
-from coincsim.events import validate_stream
+from coincsim.gating import make_gates_periodic
 from coincsim.sources import (
     Arm,
+    ArrivalStream,
     ClassicalWaveConfig,
     CoherentSourceConfig,
     IntensityLaw,
@@ -21,7 +22,7 @@ from coincsim.sources import (
     project_idler_path,
 )
 
-from stat_helpers import poisson_chisq_pvalue
+from stat_helpers import assert_arms_canonical, poisson_chisq_pvalue
 
 MS = 10**9  # 1 ms in ps
 
@@ -43,8 +44,8 @@ class TestPoissonArrivals:
 
     def test_output_is_valid_stream(self):
         s = gen_poisson_arrivals(2e6, MS, Arm.BEAM2, seed=3)
-        assert validate_stream(s).ok
-        assert set(s.arms.tolist()) <= {int(Arm.BEAM2)}
+        assert_arms_canonical(s)
+        assert s.select_arm(Arm.BEAM2) == s
 
     def test_count_within_5_sigma(self):
         # mean 10^3 over 1 ms at 1 MHz; sigma = sqrt(1000)
@@ -83,8 +84,8 @@ class TestPdcPairs:
     def test_times_identical_without_jitter(self):
         trig, idl = gen_pdc_pairs(PdcSourceConfig(pair_rate_hz=3e5), MS, seed=5)
         assert np.array_equal(trig.times, idl.times)
-        assert set(trig.arms.tolist()) <= {int(Arm.TRIGGER_ARM)}
-        assert set(idl.arms.tolist()) <= {int(Arm.IDLER_UNDECIDED)}
+        assert trig.select_arm(Arm.TRIGGER_ARM) == trig
+        assert idl.select_arm(Arm.IDLER_UNDECIDED) == idl
 
     def test_count_within_5_sigma(self):
         trig, _ = gen_pdc_pairs(PdcSourceConfig(pair_rate_hz=1e7), MS, seed=2)
@@ -92,14 +93,14 @@ class TestPdcPairs:
 
     def test_streams_valid(self):
         trig, idl = gen_pdc_pairs(PdcSourceConfig(pair_rate_hz=1e6), MS, seed=9)
-        assert validate_stream(trig).ok
-        assert validate_stream(idl).ok
+        assert_arms_canonical(trig)
+        assert_arms_canonical(idl)
 
     def test_jitter_preserves_count_and_order(self):
         cfg = PdcSourceConfig(pair_rate_hz=1e5, pair_jitter_ps=200.0)
         trig, idl = gen_pdc_pairs(cfg, MS, seed=4)
         assert len(trig) == len(idl)
-        assert validate_stream(idl).ok
+        assert_arms_canonical(idl)
         # every idler lies within 8 sigma of some trigger time
         pos = np.searchsorted(trig.times, idl.times)
         left = trig.times[np.clip(pos - 1, 0, len(trig) - 1)]
@@ -126,10 +127,11 @@ class TestProjectIdlerPath:
     def test_partition_is_exclusive_and_complete(self):
         idl = self.make_idler(1000, seed=3)
         out = project_idler_path(idl, seed=2)
-        n1 = int(np.count_nonzero(out.arms == int(Arm.IDLER_PATH1)))
-        n2 = int(np.count_nonzero(out.arms == int(Arm.IDLER_PATH2)))
-        assert n1 + n2 == len(idl)
-        assert np.array_equal(np.sort(out.times), np.sort(idl.times))
+        n1 = len(out.select_arm(Arm.IDLER_PATH1))
+        n2 = len(out.select_arm(Arm.IDLER_PATH2))
+        assert n1 + n2 == len(idl) == len(out)
+        both = np.concatenate(list(out.times_by_arm.values()))
+        assert np.array_equal(np.sort(both), idl.times)
         # exclusivity: no timestamp on both paths (times are distinct here)
         t1 = set(out.select_arm(Arm.IDLER_PATH1).times.tolist())
         t2 = set(out.select_arm(Arm.IDLER_PATH2).times.tolist())
@@ -139,15 +141,17 @@ class TestProjectIdlerPath:
         idl = self.make_idler(10**6, seed=8)
         out = project_idler_path(idl, seed=5)
         n = len(out)
-        frac = np.count_nonzero(out.arms == int(Arm.IDLER_PATH1)) / n
+        frac = len(out.select_arm(Arm.IDLER_PATH1)) / n
         assert abs(frac - 0.5) < 5 * 0.5 / np.sqrt(n)
 
     def test_path1_fraction_extremes(self):
         idl = self.make_idler(1000, seed=3)
         all1 = project_idler_path(idl, seed=2, path1_fraction=1.0)
         all2 = project_idler_path(idl, seed=2, path1_fraction=0.0)
-        assert set(all1.arms.tolist()) <= {int(Arm.IDLER_PATH1)}
-        assert set(all2.arms.tolist()) <= {int(Arm.IDLER_PATH2)}
+        assert len(all1.select_arm(Arm.IDLER_PATH1)) == len(idl)
+        assert len(all1.select_arm(Arm.IDLER_PATH2)) == 0
+        assert len(all2.select_arm(Arm.IDLER_PATH1)) == 0
+        assert len(all2.select_arm(Arm.IDLER_PATH2)) == len(idl)
 
     def test_invalid_fraction_rejected(self):
         idl = self.make_idler(10, seed=3)
@@ -160,7 +164,17 @@ class TestProjectIdlerPath:
 
     def test_output_valid(self):
         idl = self.make_idler(5000, seed=3)
-        assert validate_stream(project_idler_path(idl, seed=6)).ok
+        assert_arms_canonical(project_idler_path(idl, seed=6))
+
+    def test_paths_are_the_masked_draw_with_ties(self):
+        # tied timestamps keep their order inside each path: each path is the
+        # idler times under the splitter draw's mask, with no re-sort
+        times = np.repeat(np.arange(0, MS, MS // 500, dtype=np.int64), 3)
+        idl = ArrivalStream(MS, {Arm.IDLER_UNDECIDED: times})
+        mask = np.random.default_rng(6).random(len(times)) < 0.5
+        out = project_idler_path(idl, seed=6)
+        assert np.array_equal(out.select_arm(Arm.IDLER_PATH1).times, idl.times[mask])
+        assert np.array_equal(out.select_arm(Arm.IDLER_PATH2).times, idl.times[~mask])
 
 
 class TestThermalArrivals:
@@ -214,7 +228,8 @@ class TestThermalArrivals:
             splitting_ratio=0.5,
         )
         out = gen_thermal_arrivals(cfg, 10**10, seed=7)
-        counts = np.bincount(out.times // tau, minlength=10**10 // tau)
+        both = np.concatenate(list(out.times_by_arm.values()))
+        counts = np.bincount(both // tau, minlength=10**10 // tau)
         fano = counts.var() / counts.mean()
         assert 1.6 < fano < 2.4
 
@@ -238,13 +253,30 @@ class TestThermalArrivals:
         assert abs(frac - 0.25) < 5 * 0.5 / np.sqrt(len(out))
 
     def test_streams_valid(self):
+        # gates of 300 ns every 1 us straddle the 100 ns coherence blocks
+        gates = make_gates_periodic(1e6, MS, 300_000)
         for cfg in (
             ThermalSourceConfig(mean_rate_hz=1e6),
             ThermalSourceConfig(
                 mean_rate_hz=1e6, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10**5
             ),
         ):
-            assert validate_stream(gen_thermal_arrivals(cfg, MS, seed=2)).ok
+            for where in (None, gates):
+                out = gen_thermal_arrivals(cfg, MS, seed=2, gates=where)
+                assert list(out.times_by_arm) == [Arm.BEAM1, Arm.BEAM2]
+                assert_arms_canonical(out)
+
+    def test_len_sums_the_arms(self):
+        cfg = ThermalSourceConfig(mean_rate_hz=1e6)
+        out = gen_thermal_arrivals(cfg, MS, seed=2)
+        b1, b2 = out.select_arm(Arm.BEAM1), out.select_arm(Arm.BEAM2)
+        assert len(out) == len(b1) + len(b2) > len(b1) > 0
+        assert np.array_equal(b1.times, out.times_by_arm[Arm.BEAM1])
+
+    def test_times_needs_one_arm(self):
+        out = gen_thermal_arrivals(ThermalSourceConfig(mean_rate_hz=1e6), MS, seed=2)
+        with pytest.raises(ValueError, match="one-arm"):
+            out.times
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -326,4 +358,4 @@ class TestClassicalWaveGates:
 @settings(max_examples=30)
 def test_poisson_generator_always_valid(rate, seed, arm):
     s = gen_poisson_arrivals(rate, 10**7, arm, seed)
-    assert validate_stream(s).ok
+    assert_arms_canonical(s)
