@@ -15,13 +15,14 @@ Each stage draws from its own derived substream, so changing e.g. the dark
 rate does not perturb which photons were kept.
 
 A detector sees one arm: it reads the time array of a one-arm stream (a
-generator's one-arm output, or a stream taken with ``select_arm``).
-Arrivals generated inside gates (``ArrivalStream.gates``, see
-``coincsim.sources``) carry the count of arrivals outside them: one arm's
-count, for a stream taken with ``select_arm``.  The detector thins that
-count with one binomial draw and places dark counts in the same gates,
-counting the ones outside; the output's ``unplaced`` holds both counts, so
-``len(events) + events.unplaced`` keeps its whole-acquisition distribution.
+generator's one-arm output, or a stream taken with ``select_arm``) and
+returns the same container (``coincsim.events.EventStream``) keyed by its
+channel, over the same gates.  Arrivals generated inside gates (see
+``coincsim.sources``) carry the arm's count of arrivals outside them.  The
+detector thins that count with one binomial draw and places dark counts in
+the same gates, counting the ones outside; the output's unplaced count for
+its channel holds both, so ``len(events) + events.unplaced`` keeps its
+whole-acquisition distribution.
 This is exact only without jitter and dead time (either lets an event
 outside the gates move or suppress one inside), so such detectors reject
 gate-local arrivals.
@@ -106,5 +107,5 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
     if config.dead_time_ps > 0:
         merged = filter_min_separation(merged, config.dead_time_ps)
 
-    codes = np.full(len(merged), int(config.channel), dtype=np.uint8)
-    return EventStream(duration, merged, codes, kept_outside + dark_outside)
+    channel = config.channel
+    return EventStream(duration, {channel: merged}, gates, {channel: kept_outside + dark_outside})

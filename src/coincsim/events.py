@@ -1,20 +1,26 @@
-"""Time-tagged detection events and the stream container shared by the toolkit.
+"""The stream container shared by the toolkit, and helpers on event times.
 
 All timestamps are integer picoseconds (int64) inside a half-open observation
-interval [0, duration_ps).  Streams are kept in canonical order: sorted by
-time, ties broken by channel code.  Generators and detector models are
-required to emit canonical streams; :func:`validate_stream` reports (rather
-than repairs) the first violation, which matters when checking externally
-supplied time-tag files.
+interval [0, duration_ps).  One container, :class:`EventStream`, holds photon
+arrivals and detection events alike: one sorted time array per key, keyed by
+``coincsim.sources.Arm`` for arrivals and by :class:`Channel` for detections.
+A stream placed only inside gates also counts, per key, the times outside
+them (see ``coincsim.sources``).  A time-tag file's interleaved record order
+is checked by :func:`validate_stream` (see ``coincsim.timetags``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .gating import GateList
 
 __all__ = [
     "Channel",
@@ -35,90 +41,115 @@ class Channel(IntEnum):
     GATE_GEN = 3  # gate pulse generator
 
 
-def _as_times(times) -> np.ndarray:
-    arr = np.asarray(times, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("timestamps must be one-dimensional")
-    return arr
-
-
-def _as_codes(codes, n: int) -> np.ndarray:
-    arr = np.asarray(codes, dtype=np.uint8)
-    if arr.shape != (n,):
-        raise ValueError("channel codes must match timestamps in length")
-    return arr
+_NO_TIMES = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class EventStream:
-    """Immutable, canonically ordered sequence of detection events.
+    """Immutable times of an acquisition, one sorted array per arm or channel.
 
-    ``times`` and ``channels`` are parallel arrays.  The arrays are marked
-    read-only on construction; ordering/range invariants are the producer's
-    responsibility (see :func:`validate_stream`).  ``unplaced`` counts events
-    of the acquisition that a detector only counted, because they fell outside
-    the gates its arrivals were generated in (see ``coincsim.sources``).
+    ``times_by_key`` holds each key's times inside ``gates`` (default
+    ``None``: the whole interval), as read-only int64 arrays; a key it omits
+    has no times, and a stream never mixes arms with channels.
+    ``unplaced_by_key`` counts, per key, the times of the acquisition that
+    fell outside the gates and were not placed.  Ordering and range are the
+    producer's responsibility.  ``select_arm`` and ``select_channel`` are one
+    dict lookup under two names.
     """
 
     duration_ps: int
-    times: np.ndarray
-    channels: np.ndarray
-    unplaced: int = 0
+    times_by_key: Mapping[IntEnum, np.ndarray]
+    gates: GateList | None = None
+    unplaced_by_key: Mapping[IntEnum, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.duration_ps <= 0:
             raise ValueError("duration_ps must be positive")
-        if self.unplaced < 0:
-            raise ValueError("unplaced must be >= 0")
-        t = _as_times(self.times)
-        c = _as_codes(self.channels, len(t))
-        t.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "channels", c)
+        times_by_key = {}
+        for key, times in self.times_by_key.items():
+            t = np.asarray(times, dtype=np.int64)
+            if t.ndim != 1:
+                raise ValueError("times must be 1-d arrays")
+            t.setflags(write=False)
+            times_by_key[key] = t
+        unplaced = {key: n for key, n in self.unplaced_by_key.items() if n}
+        if min(unplaced.values(), default=0) < 0:
+            raise ValueError("unplaced counts must be >= 0")
+        if len({type(key) for key in (*times_by_key, *unplaced)}) > 1:
+            raise ValueError("a stream is keyed by arms or by channels, not both")
+        object.__setattr__(self, "times_by_key", times_by_key)
+        object.__setattr__(self, "unplaced_by_key", unplaced)
+
+    @property
+    def times(self) -> np.ndarray:
+        """The times of a one-key stream (see :meth:`select_channel`)."""
+        if len(self.times_by_key) != 1:
+            raise ValueError("times is defined only for a one-arm or one-channel stream")
+        (t,) = self.times_by_key.values()
+        return t
+
+    @property
+    def unplaced(self) -> int:
+        """Times outside the gates, over all keys."""
+        return sum(self.unplaced_by_key.values())
 
     def __len__(self) -> int:
-        return len(self.times)
+        return sum(len(t) for t in self.times_by_key.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventStream):
             return NotImplemented
+        mine, theirs = self.times_by_key, other.times_by_key
         return (
             self.duration_ps == other.duration_ps
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.channels, other.channels)
-            and self.unplaced == other.unplaced
+            and all(
+                np.array_equal(mine.get(k, _NO_TIMES), theirs.get(k, _NO_TIMES))
+                for k in mine.keys() | theirs.keys()
+            )
+            and self.gates == other.gates
+            and self.unplaced_by_key == other.unplaced_by_key
         )
 
-    def select_channel(self, channel: Channel) -> "EventStream":
-        """Sub-stream containing only events on one channel (order kept)."""
-        if self.unplaced:
-            raise ValueError("unplaced events carry no channel and cannot be selected")
-        mask = self.channels == np.uint8(int(channel))
-        return EventStream(self.duration_ps, self.times[mask], self.channels[mask])
+    def select_channel(self, key: IntEnum) -> EventStream:
+        """The times of one arm or channel, with its unplaced count."""
+        times = {key: self.times_by_key.get(key, _NO_TIMES)}
+        unplaced = {key: self.unplaced_by_key.get(key, 0)}
+        return EventStream(self.duration_ps, times, self.gates, unplaced)
+
+    select_arm = select_channel
 
 
 def merge_streams(a: EventStream, b: EventStream) -> EventStream:
-    """Multiset union of two streams over the same observation interval."""
+    """Union of two streams over the same interval and gates, key by key.
+
+    Only a key present in both is sorted again.
+    """
     if a.duration_ps != b.duration_ps:
         raise ValueError(
             f"cannot merge streams with different durations "
             f"({a.duration_ps} != {b.duration_ps})"
         )
-    times = np.concatenate([a.times, b.times])
-    codes = np.concatenate([a.channels, b.channels])
-    order = np.lexsort((codes, times))
-    return EventStream(a.duration_ps, times[order], codes[order], a.unplaced + b.unplaced)
+    if a.gates != b.gates:
+        raise ValueError("cannot merge streams placed in different gates")
+    times = dict(a.times_by_key)
+    for key, t in b.times_by_key.items():
+        if key in times:
+            t = np.concatenate([times[key], t])
+            t.sort(kind="mergesort")
+        times[key] = t
+    unplaced = Counter(a.unplaced_by_key) + Counter(b.unplaced_by_key)
+    return EventStream(a.duration_ps, times, a.gates, unplaced)
 
 
-def validate_stream(stream: EventStream) -> str | None:
-    """The first violation of canonical order or timestamp range, or ``None``.
+def validate_stream(times: np.ndarray, channels: np.ndarray, duration_ps: int) -> str | None:
+    """The first break of (time, channel) order or of [0, duration_ps), or ``None``.
 
-    Reports the lowest violating index, a range violation before an ordering
-    one at the same index; never raises.
+    ``times`` and ``channels`` are parallel arrays in record order, as a
+    time-tag file stores them.  Reports the lowest violating index, a range
+    violation before an ordering one at the same index; never raises.
     """
-    t, c, duration = stream.times, stream.channels, stream.duration_ps
-    out_of_range = (t < 0) | (t >= duration)
+    t, c = times, channels
+    out_of_range = (t < 0) | (t >= duration_ps)
     out_of_order = np.zeros_like(out_of_range)
     out_of_order[1:] = (t[1:] < t[:-1]) | ((t[1:] == t[:-1]) & (c[1:] < c[:-1]))
     bad = out_of_range | out_of_order
@@ -126,7 +157,7 @@ def validate_stream(stream: EventStream) -> str | None:
         return None
     i = int(bad.argmax())
     if out_of_range[i]:
-        return f"range violation at event {i}: t={int(t[i])} outside [0, {duration})"
+        return f"range violation at event {i}: t={int(t[i])} outside [0, {duration_ps})"
     return f"ordering violation at event {i}: event at index {i} breaks (time, channel) order"
 
 

@@ -111,9 +111,11 @@ __all__ = [
 SourceConfig = PdcSourceConfig | CoherentSourceConfig | ThermalSourceConfig | ClassicalWaveConfig
 
 PICOSECONDS_PER_SECOND = 10**12
-# Shared-mode thermal light draws one intensity per coherence block; about
-# twice the 1.43e7 blocks of configs/thermal_bunched_long.cfg.
-MAX_COHERENCE_BLOCKS = 3 * 10**7
+# The most elements a config may ask one acquisition to build in one array:
+# periodic gates, or the coherence blocks of shared-mode thermal light (one
+# intensity each); about twice the 1.43e7 blocks of
+# configs/thermal_bunched_long.cfg.
+MAX_ELEMENTS_PER_ACQUISITION = 3 * 10**7
 
 
 _DEFAULT_EFFICIENCY = {Channel.TRIGGER: 0.4, Channel.D1: 0.5, Channel.D2: 0.5}
@@ -161,6 +163,9 @@ class ScenarioConfig:
             )
         if "\n" in self.label:
             raise ConfigError("run.label must be a single line")
+        if "#" in self.label or ";" in self.label or self.label != self.label.strip():
+            # a config file would read these as a comment or drop the whitespace
+            raise ConfigError("run.label must not hold '#' or ';' or leading/trailing whitespace")
         gating = self.source.gating
         if gating is Gating.TRIGGER:
             if self.gate_rate_hz is not None:
@@ -191,6 +196,12 @@ class ScenarioConfig:
                 raise ConfigError(
                     "gate window must be shorter than the gate period "
                     f"(rate {self.gate_rate_hz:g} Hz, window {self.window_ps} ps)"
+                )
+            gates = math.ceil(self.acquisition_duration_ps * self.gate_rate_hz * 1e-12)
+            if gates > MAX_ELEMENTS_PER_ACQUISITION:
+                raise ConfigError(
+                    f"run.acquisition_duration_ps * run.gate_rate_hz gives {gates} gates "
+                    f"per acquisition, more than {MAX_ELEMENTS_PER_ACQUISITION}"
                 )
 
         if gating is not Gating.PER_GATE:
@@ -229,10 +240,10 @@ class ScenarioConfig:
         source = self.source
         if isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.SHARED_SINGLE_MODE:
             blocks = -(-self.acquisition_duration_ps // source.coherence_time_ps)
-            if blocks > MAX_COHERENCE_BLOCKS:
+            if blocks > MAX_ELEMENTS_PER_ACQUISITION:
                 raise ConfigError(
                     f"run.acquisition_duration_ps / source.coherence_time_ps gives {blocks} "
-                    f"coherence blocks per acquisition, more than {MAX_COHERENCE_BLOCKS}"
+                    f"coherence blocks per acquisition, more than {MAX_ELEMENTS_PER_ACQUISITION}"
                 )
         # Scaling must stay valid at every sweep point; surfaces range errors
         # (e.g. the wave model's linear-regime cap) at parse time.

@@ -25,11 +25,11 @@ Four source models are implemented:
 
 Arrival streams produced here are "physical photons at detector inputs":
 no efficiency, dark counts or electronics are applied yet (see
-``coincsim.detectors``).  A stream keeps one sorted time array per arm
-(``ArrivalStream.times_by_arm``), so a source that feeds two arms, or the
-idler splitter that sends each photon down one path, hands each arm's
-arrivals on as they were drawn; ``select_arm`` takes out the one arm a
-detector sees.
+``coincsim.detectors``).  They use the toolkit's one stream container,
+``coincsim.events.EventStream`` (named ``ArrivalStream`` here), keyed by
+:class:`Arm`: a source that feeds two arms, or the idler splitter that sends
+each photon down one path, hands each arm's sorted arrivals on as they were
+drawn; ``select_arm`` takes out the one arm a detector sees.
 
 Homogeneous Poisson streams are generated by drawing the total count
 N ~ Poisson(rate * duration) and then placing N points uniformly on the
@@ -42,7 +42,7 @@ whole interval.  The whole-acquisition total N is drawn as before;
 n_in ~ Binomial(N, covered / duration) of those arrivals are placed
 uniformly on the gate ticks (a last gate running past the interval's end is
 clipped there), and the other N - n_in are carried on the stream as a count
-per arm (``ArrivalStream.unplaced_by_arm``).  Restricting a Poisson process
+per arm (``unplaced_by_key``).  Restricting a Poisson process
 to a set gives a Poisson process (Kingman, *Poisson Processes*, 1993), so
 the placed arrivals have exactly the law of the whole-interval arrivals that
 fall inside the gates, and ``len(stream) + unplaced`` keeps the
@@ -71,13 +71,14 @@ about its kind: ``kind``, the field a sweep multiplier scales
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import ClassVar, Mapping
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError
+from .events import EventStream as ArrivalStream
 from .events import derive_seed
 from .gating import GateList
 
@@ -124,69 +125,6 @@ class Gating(Enum):
     TRIGGER = "trigger"  # on detected trigger photons
     GENERATOR = "generator"  # from a periodic pulse generator (run.gate_rate_hz)
     PER_GATE = "per_gate"  # the source draws each gate's detections itself
-
-
-@dataclass(frozen=True, eq=False)
-class ArrivalStream:
-    """Photon arrivals at an optical plane, one sorted time array per arm.
-
-    ``times_by_arm`` holds each arm's arrivals inside ``gates`` (default
-    ``None``: the whole interval); ``unplaced_by_arm`` counts, per arm, the
-    arrivals of the acquisition that fell outside them and were not placed.
-    """
-
-    duration_ps: int
-    times_by_arm: Mapping[Arm, np.ndarray]
-    gates: GateList | None = None
-    unplaced_by_arm: Mapping[Arm, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.duration_ps <= 0:
-            raise ValueError("duration_ps must be positive")
-        times_by_arm = {}
-        for arm, times in self.times_by_arm.items():
-            t = np.asarray(times, dtype=np.int64)
-            if t.ndim != 1:
-                raise ValueError("arrival times must be 1-d arrays")
-            t.setflags(write=False)
-            times_by_arm[arm] = t
-        unplaced = {arm: n for arm, n in self.unplaced_by_arm.items() if n}
-        if min(unplaced.values(), default=0) < 0:
-            raise ValueError("unplaced counts must be >= 0")
-        object.__setattr__(self, "times_by_arm", times_by_arm)
-        object.__setattr__(self, "unplaced_by_arm", unplaced)
-
-    @property
-    def times(self) -> np.ndarray:
-        """The arrival times of a one-arm stream (see :meth:`select_arm`)."""
-        if len(self.times_by_arm) != 1:
-            raise ValueError("times is defined only for a one-arm stream; use select_arm")
-        (t,) = self.times_by_arm.values()
-        return t
-
-    @property
-    def unplaced(self) -> int:
-        """Arrivals outside the gates, over all arms."""
-        return sum(self.unplaced_by_arm.values())
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self.times_by_arm.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArrivalStream):
-            return NotImplemented
-        return (
-            self.duration_ps == other.duration_ps
-            and self.times_by_arm.keys() == other.times_by_arm.keys()
-            and all(np.array_equal(t, other.times_by_arm[a]) for a, t in self.times_by_arm.items())
-            and self.gates == other.gates
-            and self.unplaced_by_arm == other.unplaced_by_arm
-        )
-
-    def select_arm(self, arm: Arm) -> "ArrivalStream":
-        """The arrivals on one arm, with that arm's unplaced count."""
-        unplaced = {arm: self.unplaced_by_arm.get(arm, 0)}
-        return ArrivalStream(self.duration_ps, {arm: self.times_by_arm[arm]}, self.gates, unplaced)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -498,7 +436,7 @@ def gen_thermal_arrivals(
     common intensity is what correlates the arms.
 
     Either way the arrivals outside the gates (default ``None``: the whole
-    interval) are only counted, per arm, in ``unplaced_by_arm``.
+    interval) are only counted, per arm, in ``unplaced_by_key``.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")

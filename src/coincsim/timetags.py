@@ -14,10 +14,16 @@ TTAG1 (binary)
     observation duration in picoseconds.  Then 9-byte records: 8-byte
     signed timestamp, 1-byte channel code (0=T, 1=D1, 2=D2, 3=G).
 
+Both formats store the events interleaved in canonical (time, channel)
+order: sorted by time, ties broken by channel code.  That order exists only
+in the file: parsing checks it and then splits the records into one sorted
+time array per channel, and writing interleaves the channels back.
+
 Parsing is strict: unknown channels, malformed rows, timestamps outside
 [0, duration), truncated records and out-of-order events all raise
 DataFormatError (an unsorted file is evidence of corruption or a wrong
-clock, so it is reported rather than silently sorted).
+clock, so it is reported rather than silently sorted).  Writing refuses a
+stream whose channel arrays are unsorted or outside [0, duration).
 """
 
 from __future__ import annotations
@@ -51,11 +57,36 @@ class TimetagFormat(Enum):
     TTAG1 = "ttag1"
 
 
-def _check_invariants(stream: EventStream, what: str) -> EventStream:
-    violation = validate_stream(stream)
+def _check(times: np.ndarray, codes: np.ndarray, duration_ps: int, what: str) -> None:
+    violation = validate_stream(times, codes, duration_ps)
     if violation is not None:
         raise DataFormatError(f"{what}: {violation}")
-    return stream
+
+
+def _split(times: np.ndarray, codes: np.ndarray, duration_ps: int, what: str) -> EventStream:
+    """Check the records' order and range, then split them by channel."""
+    _check(times, codes, duration_ps, what)
+    by_channel = {channel: times[codes == channel] for channel in Channel}
+    return EventStream(duration_ps, {c: t for c, t in by_channel.items() if len(t)})
+
+
+def _records(stream: EventStream) -> np.ndarray:
+    """The stream's events as TTAG1 records, interleaved in (time, channel) order.
+
+    Each channel's array is checked first, so an unsorted or out-of-range
+    stream is refused rather than written sorted.
+    """
+    parts = [np.empty(0, dtype=_RECORD_DTYPE)]
+    for channel, times in sorted(stream.times_by_key.items()):
+        if not isinstance(channel, Channel):
+            raise DataFormatError(f"stream to serialize: {channel!r} is not a channel")
+        part = np.empty(len(times), dtype=_RECORD_DTYPE)
+        part["t"], part["ch"] = times, channel
+        what = f"stream to serialize, channel {channel.name}"
+        _check(times, part["ch"], stream.duration_ps, what)
+        parts.append(part)
+    records = np.concatenate(parts)
+    return records[np.argsort(records["t"], kind="stable")]
 
 
 def _parse_csv(text: str, duration_ps: int | None) -> EventStream:
@@ -79,14 +110,15 @@ def _parse_csv(text: str, duration_ps: int | None) -> EventStream:
         try:
             t = int(t_text)
         except ValueError:
-            raise DataFormatError(f"line {lineno}: bad timestamp {t_text!r}") from None
+            t = None
+        if t is None or not -(2**63) <= t < 2**63:
+            raise DataFormatError(f"line {lineno}: bad timestamp {t_text!r}")
         times.append(t)
         codes.append(int(channel))
     t_arr = np.asarray(times, dtype=np.int64)
     if duration_ps is None:
         duration_ps = max(int(t_arr.max()) + 1, 1) if len(t_arr) else 1
-    stream = EventStream(duration_ps, t_arr, np.asarray(codes, dtype=np.uint8))
-    return _check_invariants(stream, "CSV time-tag file")
+    return _split(t_arr, np.asarray(codes, dtype=np.uint8), duration_ps, "CSV time-tag file")
 
 
 def _parse_ttag1(data: bytes, duration_ps: int | None) -> EventStream:
@@ -112,8 +144,8 @@ def _parse_ttag1(data: bytes, duration_ps: int | None) -> EventStream:
         duration_ps = int(stored_duration)
     if duration_ps <= 0:
         raise DataFormatError("TTAG1 duration must be positive")
-    stream = EventStream(duration_ps, records["t"].astype(np.int64), codes.copy())
-    return _check_invariants(stream, "TTAG1 file")
+    # contiguous codes: the strided record field is slower to compare
+    return _split(records["t"], codes.copy(), duration_ps, "TTAG1 file")
 
 
 def parse_timetag_file(
@@ -138,16 +170,9 @@ def parse_timetag_file(
 def write_timetag_file(stream: EventStream, fmt: TimetagFormat | str) -> bytes:
     """Serialize an event stream; the exact inverse of parse_timetag_file."""
     fmt = TimetagFormat(fmt) if not isinstance(fmt, TimetagFormat) else fmt
-    _check_invariants(stream, "stream to serialize")
+    records = _records(stream)
     if fmt is TimetagFormat.CSV:
         rows = ["channel,t_ps"]
-        rows.extend(
-            f"{_CHANNEL_NAMES[Channel(int(c))]},{int(t)}"
-            for c, t in zip(stream.channels, stream.times)
-        )
+        rows.extend(f"{_CHANNEL_NAMES[c]},{t}" for t, c in records.tolist())
         return ("\n".join(rows) + "\n").encode("utf-8")
-    header = _HEADER.pack(_MAGIC, _VERSION, stream.duration_ps)
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["t"] = stream.times
-    records["ch"] = stream.channels
-    return header + records.tobytes()
+    return _HEADER.pack(_MAGIC, _VERSION, stream.duration_ps) + records.tobytes()

@@ -8,7 +8,6 @@ import numpy as np
 from scipy import stats
 
 from coincsim.events import Channel, EventStream
-from coincsim.sources import ArrivalStream
 
 
 def poisson_chisq_pvalue(counts, mean: float) -> float:
@@ -41,12 +40,12 @@ def poisson_chisq_pvalue(counts, mean: float) -> float:
     return float(stats.chi2.sf(chi2, dof))
 
 
-def assert_arms_canonical(stream: ArrivalStream) -> None:
-    """Each arm's arrivals are sorted and inside [0, duration_ps)."""
-    for arm, t in stream.times_by_arm.items():
-        assert np.all(np.diff(t) >= 0), f"{arm.name} arrivals out of order"
+def assert_canonical(stream: EventStream) -> None:
+    """Each arm's or channel's times are sorted and inside [0, duration_ps)."""
+    for key, t in stream.times_by_key.items():
+        assert np.all(np.diff(t) >= 0), f"{key.name} times out of order"
         assert len(t) == 0 or (t[0] >= 0 and t[-1] < stream.duration_ps), (
-            f"{arm.name} arrivals outside [0, {stream.duration_ps})"
+            f"{key.name} times outside [0, {stream.duration_ps})"
         )
 
 
@@ -56,16 +55,19 @@ class Event(NamedTuple):
 
 
 def stream_from_events(duration_ps: int, events: Iterable[Event | tuple]) -> EventStream:
-    """Build a stream from (channel, t_ps) pairs, preserving given order."""
-    evs = list(events)
-    times = np.fromiter((e[1] for e in evs), dtype=np.int64, count=len(evs))
-    codes = np.fromiter((int(e[0]) for e in evs), dtype=np.uint8, count=len(evs))
-    return EventStream(duration_ps, times, codes)
+    """Build a stream from (channel, t_ps) pairs, each channel in given order."""
+    by_channel: dict[Channel, list[int]] = {}
+    for channel, t in events:
+        by_channel.setdefault(Channel(channel), []).append(t)
+    return EventStream(duration_ps, by_channel)
 
 
 def events_of(stream: EventStream) -> list[Event]:
-    """The stream's events as (channel, t_ps) pairs, in stream order."""
-    return [Event(Channel(int(c)), int(t)) for c, t in zip(stream.channels, stream.times)]
+    """The stream's events as (channel, t_ps) pairs, in (time, channel) order."""
+    pairs = sorted(
+        (int(t), int(channel)) for channel, ts in stream.times_by_key.items() for t in ts
+    )
+    return [Event(Channel(c), t) for t, c in pairs]
 
 
 def stream_of(duration_ps: int, *events) -> EventStream:
@@ -73,12 +75,3 @@ def stream_of(duration_ps: int, *events) -> EventStream:
     name_map = {"T": Channel.TRIGGER, "D1": Channel.D1, "D2": Channel.D2, "G": Channel.GATE_GEN}
     pairs = [(name_map[ch] if isinstance(ch, str) else ch, t) for ch, t in events]
     return stream_from_events(duration_ps, pairs)
-
-
-def estream_from_arrays(duration_ps: int, times: np.ndarray, channel: Channel) -> EventStream:
-    """Single-channel stream straight from a sorted int64 time array."""
-    return EventStream(
-        duration_ps=duration_ps,
-        times=times,
-        channels=np.full(len(times), int(channel), dtype=np.uint8),
-    )

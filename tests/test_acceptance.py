@@ -19,7 +19,7 @@ import pytest
 from coincsim.detectors import detect
 from coincsim.errors import CoincSimError
 from coincsim.estimators import AlphaEstimate, alpha_estimate, sigma_separation
-from coincsim.events import Channel, derive_seed, merge_streams
+from coincsim.events import Channel, EventStream, derive_seed, merge_streams
 from coincsim.gating import CountSummary, GateList, count_gates
 from coincsim.scenario import (
     ScenarioConfig,
@@ -39,8 +39,6 @@ from coincsim.sources import (
     project_idler_path,
 )
 from coincsim.timetags import parse_timetag_file, write_timetag_file
-
-from stat_helpers import estream_from_arrays
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -251,7 +249,7 @@ def test_criterion_7_infrastructure():
         for channel in (Channel.D1, Channel.D2):
             k = int(rng.integers(0, 25))
             t = np.sort(rng.integers(0, duration, size=k).astype(np.int64))
-            streams.append(estream_from_arrays(duration, t, channel))
+            streams.append(EventStream(duration, {channel: t}))
         c = count_gates(GateList(window_ps=window, opens=opens), *streams)
         fuzz_ok &= 0 <= c.nc <= min(c.n1, c.n2) <= max(c.n1, c.n2) <= c.n_gates
         if not fuzz_ok:

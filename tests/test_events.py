@@ -14,9 +14,11 @@ from coincsim.events import (
     merge_streams,
     validate_stream,
 )
+from coincsim.gating import GateList
+from coincsim.sources import Arm
 from coincsim.timetags import parse_timetag_file
 
-from stat_helpers import Event, events_of, stream_of
+from stat_helpers import Event, assert_canonical, events_of, stream_from_events, stream_of
 
 DURATION = 10_000
 
@@ -26,16 +28,19 @@ def canonical_streams(draw, duration=DURATION, max_events=40):
     n = draw(st.integers(0, max_events))
     times = draw(st.lists(st.integers(0, duration - 1), min_size=n, max_size=n))
     codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    order = sorted(range(n), key=lambda i: (times[i], codes[i]))
-    return EventStream(
-        duration,
-        np.array([times[i] for i in order], dtype=np.int64),
-        np.array([codes[i] for i in order], dtype=np.uint8),
-    )
+    return stream_from_events(duration, sorted(zip(codes, times), key=lambda e: e[1]))
 
 
 def events_multiset(s: EventStream):
-    return sorted(zip(s.times.tolist(), s.channels.tolist()))
+    return sorted((e.t_ps, int(e.channel)) for e in events_of(s))
+
+
+def record_arrays(*events):
+    """Parallel (times, channel codes) arrays of records, in the given order."""
+    names = {"T": 0, "D1": 1, "D2": 2, "G": 3}
+    times = np.array([t for _, t in events], dtype=np.int64)
+    codes = np.array([names[ch] for ch, _ in events], dtype=np.uint8)
+    return times, codes
 
 
 class TestEventStream:
@@ -57,11 +62,25 @@ class TestEventStream:
         s = stream_of(100, ("T", 1), ("D1", 2), ("T", 3), ("D2", 4))
         t = s.select_channel(Channel.TRIGGER)
         assert t.times.tolist() == [1, 3]
-        assert set(t.channels.tolist()) == {int(Channel.TRIGGER)}
+        assert list(t.times_by_key) == [Channel.TRIGGER]
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            EventStream(10, np.array([1, 2], dtype=np.int64), np.array([0], dtype=np.uint8))
+    def test_select_absent_key_is_empty(self):
+        s = stream_of(100, ("D1", 2))
+        assert len(s.select_channel(Channel.D2).times) == 0
+        assert s.select_channel(Channel.D2) == stream_of(100)
+
+    def test_select_keeps_the_key_and_its_unplaced_count(self):
+        s = EventStream(100, {Arm.BEAM1: [1, 5], Arm.BEAM2: [3]}, None, {Arm.BEAM1: 4})
+        assert s.unplaced == 4
+        b1, b2 = s.select_arm(Arm.BEAM1), s.select_arm(Arm.BEAM2)
+        assert (b1.times.tolist(), b1.unplaced) == ([1, 5], 4)
+        assert (b2.times.tolist(), b2.unplaced) == ([3], 0)
+
+    def test_arms_and_channels_do_not_mix(self):
+        with pytest.raises(ValueError, match="arms or by channels"):
+            EventStream(10, {Arm.BEAM1: [1], Channel.D1: [2]})
+        with pytest.raises(ValueError, match="arms or by channels"):
+            EventStream(10, {Channel.D1: [2]}, None, {Arm.BEAM1: 3})
 
     def test_equality_is_content_based(self):
         a = stream_of(100, ("D1", 5))
@@ -69,6 +88,8 @@ class TestEventStream:
         c = stream_of(100, ("D2", 5))
         assert a == b
         assert a != c
+        # an absent key and an empty array both mean no events
+        assert a == EventStream(100, {Channel.D1: [5], Channel.D2: []})
 
 
 class TestMergeStreams:
@@ -87,21 +108,38 @@ class TestMergeStreams:
         merged = merge_streams(a, b)
         assert events_of(merged) == [Event(Channel.D2, 3), Event(Channel.D1, 5)]
 
-    def test_tie_broken_by_channel_order(self):
+    def test_distinct_keys_are_not_copied(self):
         a = stream_of(DURATION, ("D2", 5))
         b = stream_of(DURATION, ("T", 5))
         merged = merge_streams(a, b)
-        assert merged.channels.tolist() == [int(Channel.TRIGGER), int(Channel.D2)]
+        assert merged.times_by_key[Channel.D2] is a.times_by_key[Channel.D2]
+        assert merged.times_by_key[Channel.TRIGGER] is b.times_by_key[Channel.TRIGGER]
+
+    def test_shared_key_is_sorted(self):
+        a = stream_of(DURATION, ("D1", 5), ("D1", 9))
+        b = stream_of(DURATION, ("D1", 3), ("D1", 7))
+        assert merge_streams(a, b).times.tolist() == [3, 5, 7, 9]
+
+    def test_unplaced_counts_add_per_key(self):
+        a = EventStream(DURATION, {Channel.D1: [1]}, None, {Channel.D1: 2})
+        b = EventStream(DURATION, {Channel.D2: [1]}, None, {Channel.D1: 1, Channel.D2: 5})
+        assert merge_streams(a, b).unplaced_by_key == {Channel.D1: 3, Channel.D2: 5}
 
     def test_duration_mismatch_rejected(self):
         with pytest.raises(ValueError, match="duration"):
             merge_streams(stream_of(10), stream_of(20))
 
+    def test_gates_mismatch_rejected(self):
+        gated = EventStream(DURATION, {}, GateList(10, [0, 100]))
+        with pytest.raises(ValueError, match="gates"):
+            merge_streams(gated, stream_of(DURATION))
+        assert merge_streams(gated, gated) == gated
+
     @given(canonical_streams(), canonical_streams())
     def test_multiset_union_and_validity(self, a, b):
         merged = merge_streams(a, b)
         assert events_multiset(merged) == sorted(events_multiset(a) + events_multiset(b))
-        assert validate_stream(merged) is None
+        assert_canonical(merged)
 
     @given(canonical_streams(), canonical_streams())
     def test_commutative(self, a, b):
@@ -116,35 +154,35 @@ class TestMergeStreams:
 
 class TestValidateStream:
     def test_ok_stream(self):
-        assert validate_stream(stream_of(100, ("T", 1), ("D1", 1), ("D1", 50))) is None
+        assert validate_stream(*record_arrays(("T", 1), ("D1", 1), ("D1", 50)), 100) is None
 
     def test_empty_stream_ok(self):
-        assert validate_stream(stream_of(100)) is None
+        assert validate_stream(*record_arrays(), 100) is None
 
     def test_ordering_violation_reported_with_index(self):
-        message = validate_stream(stream_of(100, ("D1", 7), ("D1", 3)))
+        message = validate_stream(*record_arrays(("D1", 7), ("D1", 3)), 100)
         assert message.startswith("ordering violation at event 1:")
 
     def test_channel_tie_break_violation(self):
         # same timestamp, decreasing channel order
-        message = validate_stream(stream_of(100, ("D2", 5), ("D1", 5)))
+        message = validate_stream(*record_arrays(("D2", 5), ("D1", 5)), 100)
         assert message.startswith("ordering violation")
 
     def test_timestamp_at_duration_is_out_of_range(self):
-        message = validate_stream(stream_of(100, ("D1", 100)))
+        message = validate_stream(*record_arrays(("D1", 100)), 100)
         assert message == "range violation at event 0: t=100 outside [0, 100)"
 
     def test_negative_timestamp(self):
-        message = validate_stream(stream_of(100, ("D1", -1)))
+        message = validate_stream(*record_arrays(("D1", -1)), 100)
         assert message.startswith("range violation")
 
     def test_lowest_index_wins(self):
         # ordering at 1 comes before range at 2; range beats ordering at 3
         assert validate_stream(
-            stream_of(100, ("D1", 50), ("D1", 10), ("D1", 200))
+            *record_arrays(("D1", 50), ("D1", 10), ("D1", 200)), 100
         ).startswith("ordering violation at event 1:")
         assert validate_stream(
-            stream_of(100, ("D1", 10), ("D1", 20), ("D1", 30), ("D1", -5))
+            *record_arrays(("D1", 10), ("D1", 20), ("D1", 30), ("D1", -5)), 100
         ).startswith("range violation at event 3:")
 
     def test_reversed_million_record_file_rejected_at_event_1(self):

@@ -21,12 +21,7 @@ NS = 1000
 
 
 def estream(times, channel=Channel.D1, duration_ps=10**6):
-    t = np.asarray(times, dtype=np.int64)
-    return EventStream(
-        duration_ps=duration_ps,
-        times=t,
-        channels=np.full(len(t), int(channel), dtype=np.uint8),
-    )
+    return EventStream(duration_ps=duration_ps, times_by_key={channel: times})
 
 
 class TestGatesFromTrigger:
@@ -160,13 +155,7 @@ def gated_experiment(draw):
                 dtype=np.int64,
             )
         )
-        streams.append(
-            EventStream(
-                duration_ps=duration,
-                times=times,
-                channels=np.full(n, int(channel), dtype=np.uint8),
-            )
-        )
+        streams.append(EventStream(duration_ps=duration, times_by_key={channel: times}))
     return streams[0], streams[1], GateList(window_ps=window, opens=opens)
 
 
@@ -190,11 +179,7 @@ class TestCountInvariants:
         rng = np.random.default_rng(derive_seed(seed, 0, "split"))
         mask = rng.random(len(d1)) < 0.5
         parts = [
-            EventStream(
-                duration_ps=d1.duration_ps,
-                times=d1.times[m],
-                channels=d1.channels[m],
-            )
+            EventStream(duration_ps=d1.duration_ps, times_by_key={Channel.D1: d1.times[m]})
             for m in (mask, ~mask)
         ]
         remerged = merge_streams(*parts)

@@ -2,7 +2,10 @@
 
 ``benchmark/worker.py`` imports names from the ``coincsim`` package, and
 ``benchmark/layertrace.py`` wraps module attributes listed in ``TARGETS``.
-Either breaking silently would leave the benchmark measuring nothing.
+Either breaking silently would leave the benchmark measuring nothing.  The
+two split layers wrap two names of one method, so the simulation must keep
+calling ``select_arm`` and ``cli analyze`` must keep calling
+``select_channel``.
 """
 
 import ast
@@ -13,6 +16,12 @@ from pathlib import Path
 import pytest
 
 import coincsim
+from coincsim import cli, events, sources
+from coincsim.scenario import ScenarioConfig, run_scenario
+from coincsim.sources import PdcSourceConfig
+from coincsim.timetags import write_timetag_file
+
+from stat_helpers import stream_of
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -51,3 +60,30 @@ def test_worker_import_exists(name):
     # ``from coincsim import name`` binds a package attribute, else a submodule
     if not hasattr(coincsim, name):
         importlib.import_module(f"coincsim.{name}")
+
+
+def test_one_stream_class():
+    assert sources.ArrivalStream is events.EventStream
+    assert events.EventStream.select_arm is events.EventStream.select_channel
+
+
+def test_both_split_layers_are_reached(tmp_path, capsys):
+    config = ScenarioConfig(
+        source=PdcSourceConfig(pair_rate_hz=1e6), acquisitions=1, acquisition_duration_ps=10**8
+    )
+    path = tmp_path / "tags.ttag1"
+    stream = stream_of(10**6, ("T", 0), ("D1", 3000), ("D2", 5000), ("T", 9000))
+    path.write_bytes(write_timetag_file(stream, "ttag1"))
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        run_scenario(config)
+        # project_idler_path, then select_arm once per path
+        assert (tracer.calls["sources.split"], tracer.calls["events.select"]) == (3, 0)
+        tracer.reset()
+        assert cli.main(["analyze", "--input", str(path), "--format", "ttag1"]) == 0
+        # select_channel once for the gates and once per detector
+        assert (tracer.calls["sources.split"], tracer.calls["events.select"]) == (0, 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []

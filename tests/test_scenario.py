@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coincsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from coincsim.detectors import DetectorConfig
@@ -212,6 +214,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="source.coherence_time_ps") as err:
             parse_config(text)
         assert "run.acquisition_duration_ps" in str(err.value)
+
+    def test_too_many_gates_rejected(self):
+        # 10**12 periodic gates per acquisition: refused before any is built
+        with pytest.raises(ConfigError, match="run.gate_rate_hz") as err:
+            ScenarioConfig(
+                source=CoherentSourceConfig(mean_rate_hz=1e6),
+                gate_rate_hz=1e9,
+                window_ps=5,
+                acquisition_duration_ps=10**15,
+            )
+        assert "run.acquisition_duration_ps" in str(err.value)
+        assert "1000000000000 gates" in str(err.value)
+
+    @pytest.mark.parametrize("label", ["run #3", "a ;b", " padded ", "tab\t", "\u2028x"])
+    def test_label_a_config_file_would_alter_rejected(self, label):
+        with pytest.raises(ConfigError, match="run.label"):
+            ScenarioConfig(source=PdcSourceConfig(pair_rate_hz=1e3), label=label)
+
+    @given(st.text(max_size=20))
+    def test_every_accepted_label_round_trips(self, label):
+        try:
+            cfg = ScenarioConfig(source=PdcSourceConfig(pair_rate_hz=1e3), label=label)
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 def small_pdc_config(**overrides):

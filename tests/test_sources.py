@@ -22,7 +22,7 @@ from coincsim.sources import (
     project_idler_path,
 )
 
-from stat_helpers import assert_arms_canonical, poisson_chisq_pvalue
+from stat_helpers import assert_canonical, poisson_chisq_pvalue
 
 MS = 10**9  # 1 ms in ps
 
@@ -44,7 +44,7 @@ class TestPoissonArrivals:
 
     def test_output_is_valid_stream(self):
         s = gen_poisson_arrivals(2e6, MS, Arm.BEAM2, seed=3)
-        assert_arms_canonical(s)
+        assert_canonical(s)
         assert s.select_arm(Arm.BEAM2) == s
 
     def test_count_within_5_sigma(self):
@@ -93,14 +93,14 @@ class TestPdcPairs:
 
     def test_streams_valid(self):
         trig, idl = gen_pdc_pairs(PdcSourceConfig(pair_rate_hz=1e6), MS, seed=9)
-        assert_arms_canonical(trig)
-        assert_arms_canonical(idl)
+        assert_canonical(trig)
+        assert_canonical(idl)
 
     def test_jitter_preserves_count_and_order(self):
         cfg = PdcSourceConfig(pair_rate_hz=1e5, pair_jitter_ps=200.0)
         trig, idl = gen_pdc_pairs(cfg, MS, seed=4)
         assert len(trig) == len(idl)
-        assert_arms_canonical(idl)
+        assert_canonical(idl)
         # every idler lies within 8 sigma of some trigger time
         pos = np.searchsorted(trig.times, idl.times)
         left = trig.times[np.clip(pos - 1, 0, len(trig) - 1)]
@@ -130,7 +130,7 @@ class TestProjectIdlerPath:
         n1 = len(out.select_arm(Arm.IDLER_PATH1))
         n2 = len(out.select_arm(Arm.IDLER_PATH2))
         assert n1 + n2 == len(idl) == len(out)
-        both = np.concatenate(list(out.times_by_arm.values()))
+        both = np.concatenate(list(out.times_by_key.values()))
         assert np.array_equal(np.sort(both), idl.times)
         # exclusivity: no timestamp on both paths (times are distinct here)
         t1 = set(out.select_arm(Arm.IDLER_PATH1).times.tolist())
@@ -164,7 +164,7 @@ class TestProjectIdlerPath:
 
     def test_output_valid(self):
         idl = self.make_idler(5000, seed=3)
-        assert_arms_canonical(project_idler_path(idl, seed=6))
+        assert_canonical(project_idler_path(idl, seed=6))
 
     def test_paths_are_the_masked_draw_with_ties(self):
         # tied timestamps keep their order inside each path: each path is the
@@ -228,7 +228,7 @@ class TestThermalArrivals:
             splitting_ratio=0.5,
         )
         out = gen_thermal_arrivals(cfg, 10**10, seed=7)
-        both = np.concatenate(list(out.times_by_arm.values()))
+        both = np.concatenate(list(out.times_by_key.values()))
         counts = np.bincount(both // tau, minlength=10**10 // tau)
         fano = counts.var() / counts.mean()
         assert 1.6 < fano < 2.4
@@ -263,15 +263,15 @@ class TestThermalArrivals:
         ):
             for where in (None, gates):
                 out = gen_thermal_arrivals(cfg, MS, seed=2, gates=where)
-                assert list(out.times_by_arm) == [Arm.BEAM1, Arm.BEAM2]
-                assert_arms_canonical(out)
+                assert list(out.times_by_key) == [Arm.BEAM1, Arm.BEAM2]
+                assert_canonical(out)
 
     def test_len_sums_the_arms(self):
         cfg = ThermalSourceConfig(mean_rate_hz=1e6)
         out = gen_thermal_arrivals(cfg, MS, seed=2)
         b1, b2 = out.select_arm(Arm.BEAM1), out.select_arm(Arm.BEAM2)
         assert len(out) == len(b1) + len(b2) > len(b1) > 0
-        assert np.array_equal(b1.times, out.times_by_arm[Arm.BEAM1])
+        assert np.array_equal(b1.times, out.times_by_key[Arm.BEAM1])
 
     def test_times_needs_one_arm(self):
         out = gen_thermal_arrivals(ThermalSourceConfig(mean_rate_hz=1e6), MS, seed=2)
@@ -358,4 +358,4 @@ class TestClassicalWaveGates:
 @settings(max_examples=30)
 def test_poisson_generator_always_valid(rate, seed, arm):
     s = gen_poisson_arrivals(rate, 10**7, arm, seed)
-    assert_arms_canonical(s)
+    assert_canonical(s)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from coincsim.errors import DataFormatError
 from coincsim.events import Channel, EventStream
+from coincsim.sources import Arm
 from coincsim.timetags import TimetagFormat, parse_timetag_file, write_timetag_file
 
-from stat_helpers import stream_from_events, stream_of
+from stat_helpers import Event, events_of, stream_from_events, stream_of
 
 
 def ttag1_bytes(duration, records):
@@ -25,15 +26,24 @@ class TestCsvParsing:
 
     def test_two_events(self):
         s = parse_timetag_file("channel,t_ps\nD1,3000\nD2,5000\n", "csv")
-        assert s.times.tolist() == [3000, 5000]
-        assert s.channels.tolist() == [int(Channel.D1), int(Channel.D2)]
+        assert events_of(s) == [Event(Channel.D1, 3000), Event(Channel.D2, 5000)]
         # duration inferred as one tick past the last event
         assert s.duration_ps == 5001
 
     def test_all_channel_names(self):
         text = "channel,t_ps\nT,0\nD1,1\nD2,2\nG,3\n"
         s = parse_timetag_file(text, "csv")
-        assert s.channels.tolist() == [0, 1, 2, 3]
+        assert {c: t.tolist() for c, t in s.times_by_key.items()} == {
+            Channel.TRIGGER: [0], Channel.D1: [1], Channel.D2: [2], Channel.GATE_GEN: [3]
+        }
+
+    def test_split_by_channel_once(self):
+        text = "channel,t_ps\nD2,1\nT,2\nD2,2\nT,4\nD2,4\nD2,9\n"
+        s = parse_timetag_file(text, "csv")
+        assert list(s.times_by_key) == [Channel.TRIGGER, Channel.D2]  # no empty D1 or G
+        assert s.select_channel(Channel.TRIGGER).times.tolist() == [2, 4]
+        assert s.select_channel(Channel.D2).times.tolist() == [1, 2, 4, 9]
+        assert len(s.select_channel(Channel.D1).times) == 0
 
     def test_blank_lines_skipped(self):
         s = parse_timetag_file("channel,t_ps\n\nD1,10\n\n", "csv")
@@ -58,6 +68,9 @@ class TestCsvParsing:
     def test_bad_timestamp_reports_line(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_timetag_file("channel,t_ps\nD1,3.5\n", "csv")
+        for t in ("99999999999999999999", "-99999999999999999999", str(2**63)):
+            with pytest.raises(DataFormatError, match="line 3: bad timestamp"):
+                parse_timetag_file(f"channel,t_ps\nD1,1\nT,{t}\n", "csv")
 
     def test_wrong_column_count(self):
         with pytest.raises(DataFormatError, match="line 2"):
@@ -85,8 +98,9 @@ class TestTtag1Parsing:
     def test_round_numbers(self):
         raw = ttag1_bytes(10**6, [(100, 0), (200, 1), (300, 2)])
         s = parse_timetag_file(raw, "ttag1")
-        assert s.times.tolist() == [100, 200, 300]
-        assert s.channels.tolist() == [0, 1, 2]
+        assert events_of(s) == [
+            Event(Channel.TRIGGER, 100), Event(Channel.D1, 200), Event(Channel.D2, 300)
+        ]
 
     def test_record_size_is_nine_bytes(self):
         raw = ttag1_bytes(1000, [(1, 0), (2, 1)])
@@ -149,9 +163,40 @@ class TestWriting:
         assert write_timetag_file(back, "ttag1") == raw
 
     def test_invalid_stream_refused(self):
-        bad = stream_from_events(10**3, [(Channel.TRIGGER, 500), (Channel.D1, 100)])
-        with pytest.raises(DataFormatError):
-            write_timetag_file(bad, "csv")
+        # a channel array that is unsorted or out of range, in either format
+        for times, message in (
+            ([500, 100], "channel D1: ordering violation at event 1"),
+            ([100, 1000], "channel D1: range violation at event 1"),
+            ([-1], "channel D1: range violation at event 0"),
+        ):
+            bad = EventStream(10**3, {Channel.TRIGGER: [0, 900], Channel.D1: times})
+            for fmt in TimetagFormat:
+                with pytest.raises(DataFormatError, match=message):
+                    write_timetag_file(bad, fmt)
+
+    def test_arrival_stream_refused(self):
+        arrivals = EventStream(10**3, {Arm.BEAM1: [5]})
+        with pytest.raises(DataFormatError, match="not a channel"):
+            write_timetag_file(arrivals, "ttag1")
+
+    def test_fixed_bytes_with_ties_across_channels(self):
+        s = stream_of(
+            10, ("T", 0), ("D1", 0), ("D2", 0), ("T", 5), ("D2", 5), ("D1", 7), ("D2", 9)
+        )
+        assert write_timetag_file(s, "csv") == (
+            b"channel,t_ps\nT,0\nD1,0\nD2,0\nT,5\nD2,5\nD1,7\nD2,9\n"
+        )
+        header = bytes.fromhex("5454414731" "01" "0a00000000000000")
+        records = bytes.fromhex(
+            "000000000000000000"
+            "000000000000000001"
+            "000000000000000002"
+            "050000000000000000"
+            "050000000000000002"
+            "070000000000000001"
+            "090000000000000002"
+        )
+        assert write_timetag_file(s, "ttag1") == header + records
 
     def test_csv_text_shape(self):
         s = stream_of(10**6, ("D1", 42))
@@ -169,9 +214,7 @@ def sorted_streams(draw):
             lambda cs: np.asarray(cs, dtype=np.uint8)
         )
     )
-    t = np.asarray(times, dtype=np.int64)
-    order = np.lexsort((chans, t))  # canonical tie-break: channel code
-    return EventStream(duration_ps=duration, times=t[order], channels=chans[order])
+    return stream_from_events(duration, zip(chans.tolist(), times))
 
 
 @given(sorted_streams())
