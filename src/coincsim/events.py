@@ -111,7 +111,14 @@ class EventStream:
         )
 
     def select_channel(self, key: IntEnum) -> EventStream:
-        """The times of one arm or channel, with its unplaced count."""
+        """The times of one arm or channel, with its unplaced count.
+
+        ``Arm`` and ``Channel`` values compare equal across the two enums,
+        so a key of the other kind than the stream's is refused.
+        """
+        kinds = {type(k) for k in (*self.times_by_key, *self.unplaced_by_key)}
+        if kinds and type(key) not in kinds:
+            raise ValueError(f"{key!r} is not a key of this stream's kind")
         times = {key: self.times_by_key.get(key, _NO_TIMES)}
         unplaced = {key: self.unplaced_by_key.get(key, 0)}
         return EventStream(self.duration_ps, times, self.gates, unplaced)

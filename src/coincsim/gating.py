@@ -109,10 +109,10 @@ def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> Gat
             f"({period_ps:.0f} ps): consecutive gates would overlap"
         )
     n = int(np.ceil(duration_ps / period_ps)) + 1
-    k = np.arange(n, dtype=np.float64)
-    opens = np.rint(k * period_ps).astype(np.int64)
-    opens = opens[opens < duration_ps]
-    return GateList(window_ps, opens)
+    ideal = np.arange(n, dtype=np.float64)
+    ideal *= period_ps
+    opens = np.rint(ideal, out=ideal).astype(np.int64)
+    return GateList(window_ps, opens[: np.searchsorted(opens, duration_ps)])
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,13 @@ def project_idler_path(
     return ArrivalStream(idler.duration_ps, paths, idler.gates)
 
 
+# Gates whose in-gate means are evaluated together.  Full-length temporaries
+# (8 MB per 10^6 gates) would be fresh memory on every call, paying a page
+# fault per 4 kB and a DRAM pass per operation; one chunk's temporaries stay
+# in cache.
+_GATE_CHUNK = 1 << 16
+
+
 def _blocked_rate_times(
     rngs: list[np.random.Generator],
     shares: tuple[float, ...],
@@ -385,6 +392,9 @@ def _blocked_rate_times(
     straddles block edges is cut there.  Outside the gates arm k draws only
     a count, Poisson(share * (whole-interval mean - in-gate mean)).
     """
+    lo, window = np.zeros(1, dtype=np.int64), duration_ps
+    if gates is not None:
+        lo, window = _checked(gates, duration_ps).opens, gates.window_ps
     at_edge = np.zeros(len(rate) + 1)  # mean photon number before each block edge
     np.cumsum(rate, out=at_edge[1:])
     at_edge *= tau
@@ -397,13 +407,15 @@ def _blocked_rate_times(
         mean += at_edge[b]
         return mean
 
-    if gates is None:
-        lo, hi = np.zeros(1, dtype=np.int64), np.array([duration_ps], dtype=np.int64)
-    else:
-        lo = _checked(gates, duration_ps).opens
-        hi = np.minimum(lo + gates.window_ps, duration_ps)
-    lo_mean = mean_before(lo)
-    gate_cum = np.cumsum(mean_before(hi) - lo_mean)
+    def close(opens: np.ndarray) -> np.ndarray:
+        """Gate closes, the last gate clipped at ``duration_ps``."""
+        return np.minimum(opens + window, duration_ps)
+
+    gate_cum = np.empty(len(lo))  # each gate's mean, then their running sum
+    for s in range(0, len(lo), _GATE_CHUNK):
+        chunk = lo[s : s + _GATE_CHUNK]
+        np.subtract(mean_before(close(chunk)), mean_before(chunk), out=gate_cum[s : s + len(chunk)])
+    np.cumsum(gate_cum, out=gate_cum)
     inside = float(gate_cum[-1]) if len(gate_cum) else 0.0
     outside = 0.0 if gates is None else max(float(at_edge[-1]) - inside, 0.0)
     placed = []
@@ -412,12 +424,17 @@ def _blocked_rate_times(
         x = rng.random(n)
         x.sort()
         x *= inside
-        g = np.searchsorted(gate_cum[:-1], x, side="right")
-        y = x - np.where(g > 0, gate_cum[g - 1], 0.0) + lo_mean[g]  # mean before the arrival
+        g = np.searchsorted(gate_cum[:-1], x, side="right")  # sorted, as x is
+        # the gates hit, once each, and k: each arrival's gate among them
+        new = np.ones(n, dtype=bool)
+        np.not_equal(g[1:], g[:-1], out=new[1:])
+        lo_hit = lo[g[new]]
+        k = np.cumsum(new) - 1
+        y = x - np.where(g > 0, gate_cum[g - 1], 0.0) + mean_before(lo_hit)[k]  # mean before it
         b = np.searchsorted(at_edge[1:-1], y, side="right")
         offset = ((y - at_edge[b]) / rate[b]).astype(np.int64)
         t = b * tau + np.minimum(offset, tau - 1)
-        np.clip(t, lo[g], hi[g] - 1, out=t)  # rounding at the block and gate edges
+        np.clip(t, lo_hit[k], close(lo_hit)[k] - 1, out=t)  # rounding at the block and gate edges
         n_out = int(rng.poisson(share * outside)) if share * outside > 0 else 0
         placed.append((t, n_out))
     return placed

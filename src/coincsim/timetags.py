@@ -142,8 +142,8 @@ def _parse_ttag1(data: bytes, duration_ps: int | None) -> EventStream:
         raise DataFormatError(f"record {bad}: unknown channel code {int(codes[bad])}")
     if duration_ps is None:
         duration_ps = int(stored_duration)
-    if duration_ps <= 0:
-        raise DataFormatError("TTAG1 duration must be positive")
+        if duration_ps <= 0:
+            raise DataFormatError("TTAG1 duration must be positive")
     # contiguous codes: the strided record field is slower to compare
     return _split(records["t"], codes.copy(), duration_ps, "TTAG1 file")
 
@@ -159,6 +159,8 @@ def parse_timetag_file(
     from (CSV) the file.
     """
     fmt = TimetagFormat(fmt) if not isinstance(fmt, TimetagFormat) else fmt
+    if duration_ps is not None and duration_ps <= 0:
+        raise DataFormatError(f"duration_ps must be positive, got {duration_ps}")
     if fmt is TimetagFormat.CSV:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         return _parse_csv(text, duration_ps)

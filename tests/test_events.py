@@ -82,6 +82,17 @@ class TestEventStream:
         with pytest.raises(ValueError, match="arms or by channels"):
             EventStream(10, {Channel.D1: [2]}, None, {Arm.BEAM1: 3})
 
+    def test_key_of_the_other_kind_rejected(self):
+        # Arm.BEAM1 == Channel.GATE_GEN == 3: the lookup must not relabel BEAM1's times
+        with pytest.raises(ValueError, match="kind"):
+            EventStream(100, {Arm.BEAM1: [5]}).select_channel(Channel.GATE_GEN)
+        with pytest.raises(ValueError, match="kind"):
+            stream_of(100, ("D1", 5)).select_arm(Arm.IDLER_PATH1)
+        with pytest.raises(ValueError, match="kind"):
+            EventStream(100, {}, None, {Arm.BEAM1: 2}).select_channel(Channel.D1)
+        # a stream with no keys has no kind to confuse
+        assert len(EventStream(100, {}).select_channel(Channel.GATE_GEN)) == 0
+
     def test_equality_is_content_based(self):
         a = stream_of(100, ("D1", 5))
         b = stream_of(100, ("D1", 5))

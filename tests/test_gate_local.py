@@ -7,11 +7,14 @@ and for shared-mode thermal light.
 """
 
 import dataclasses
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from coincsim import sources
 from coincsim.detectors import DetectorConfig, detect
 from coincsim.errors import ConfigError
 from coincsim.events import Channel, derive_seed
@@ -246,6 +249,60 @@ class TestBlockedRatePlacement:
         whole = BLOCK_RATE[np.arange(DURATION) // TAU].sum()
         outside = rng.means[1] if len(rng.means) > 1 else 0.0
         assert outside == pytest.approx(whole - inside)
+
+
+# 100 us of shared-mode light on 101 gates of 100 ns every 997 ns, or on the
+# whole interval, in chunks of 7 gates against the default chunk size.
+CHUNK_US = 100 * 10**6
+CHUNK_GATES = make_gates_periodic(1e12 / 997_000, CHUNK_US, 100_000)
+CHUNK_CASES = {
+    # 1 us blocks: most gates inside one block, ~10% straddling an edge
+    "inside_and_straddling": (1_000_000, CHUNK_GATES),
+    # 20 ns blocks: every gate spans five or six blocks
+    "multi_block": (20_000, CHUNK_GATES),
+    # one more gate, clipped at the end of the interval
+    "clipped_last_gate": (
+        1_000_000,
+        GateList(100_000, np.append(CHUNK_GATES.opens, CHUNK_US - 30_000)),
+    ),
+    # the whole interval: one gate, fewer than any chunk
+    "whole_interval": (1_000_000, None),
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_chunk_size_changes_no_bit(case, monkeypatch):
+    tau, gates = CHUNK_CASES[case]
+    cfg = ThermalSourceConfig(
+        mean_rate_hz=2e8, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=tau
+    )
+    default = gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
+    monkeypatch.setattr(sources, "_GATE_CHUNK", 7)
+    small = gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
+    assert len(default) > 1000
+    assert small == default
+    assert small.unplaced_by_key == default.unplaced_by_key
+
+
+def test_shared_mode_peak_memory():
+    """One shared-mode call on thermal_bunched_short's ~10^6 gates stays under 40 MB.
+
+    That is two 11.4 MB block arrays (the intensities and their cumulative
+    mean), one 8 MB array over the gates, and slack; every full-length
+    temporary per gate would add 8 MB.
+    """
+    config_path = Path(__file__).parents[1] / "configs" / "thermal_bunched_short.cfg"
+    config = parse_config(config_path.read_text())
+    duration = config.acquisition_duration_ps
+    gates = make_gates_periodic(config.gate_rate_hz, duration, config.window_ps)
+    tracemalloc.start()
+    try:
+        stream = gen_thermal_arrivals(config.source, duration, 1, gates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(stream) > 0
+    assert peak < 40e6
 
 
 # Statistical equivalence: 1 ms acquisitions, 1 MHz gates of 100 ns,

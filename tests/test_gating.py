@@ -90,6 +90,29 @@ class TestGatesPeriodic:
         assert g.opens[-1] < 10**10
         assert np.all(np.diff(g.opens) > 0)
 
+    @given(
+        period_ps=st.floats(2.0, 1e9),
+        k=st.integers(0, 2000),
+        delta=st.sampled_from([-1, 0, 1]),
+        window_share=st.floats(0.0, 1.0),
+    )
+    def test_matches_reference_formula(self, period_ps, k, delta, window_share):
+        # the k-th ideal opening lands just above, at or just below duration_ps
+        rate_hz = 1e12 / period_ps
+        duration_ps = max(int(np.rint(k * (1e12 / rate_hz))) - delta, 1)
+        window_ps = 1 + int(window_share * (np.ceil(1e12 / rate_hz) - 2))
+        g = make_gates_periodic(rate_hz, duration_ps, window_ps)
+        np.testing.assert_array_equal(g.opens, periodic_opens_reference(rate_hz, duration_ps))
+        assert g.window_ps == window_ps
+
+
+def periodic_opens_reference(rate_hz, duration_ps):
+    """Every ideal opening rounded to the tick, then those before ``duration_ps``."""
+    period_ps = 1e12 / rate_hz
+    n = int(np.ceil(duration_ps / period_ps)) + 1
+    opens = np.rint(np.arange(n) * period_ps).astype(np.int64)
+    return opens[opens < duration_ps]
+
 
 class TestCountGates:
     def count_one_gate(self, d1_times, d2_times, window_ps=7 * NS):

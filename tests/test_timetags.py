@@ -144,6 +144,25 @@ class TestTtag1Parsing:
         s = parse_timetag_file(raw, "ttag1", duration_ps=2000)
         assert s.duration_ps == 2000
 
+    def test_zero_stored_duration_rejected(self):
+        with pytest.raises(DataFormatError, match="TTAG1 duration must be positive"):
+            parse_timetag_file(ttag1_bytes(0, []), "ttag1")
+
+
+@pytest.mark.parametrize("duration", [0, -1])
+@pytest.mark.parametrize(
+    "fmt, raw",
+    [
+        ("csv", "channel,t_ps\n"),
+        ("csv", "channel,t_ps\nD1,5\n"),
+        ("ttag1", ttag1_bytes(1000, [(5, 1)])),
+    ],
+    ids=["csv_empty", "csv", "ttag1"],
+)
+def test_bad_duration_override_rejected(fmt, raw, duration):
+    with pytest.raises(DataFormatError, match=f"duration_ps must be positive, got {duration}"):
+        parse_timetag_file(raw, fmt, duration_ps=duration)
+
 
 class TestWriting:
     def test_csv_round_trip_fixed(self):
