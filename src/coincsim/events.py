@@ -61,6 +61,7 @@ class EventStream:
     times_by_key: Mapping[IntEnum, np.ndarray]
     gates: GateList | None = None
     unplaced_by_key: Mapping[IntEnum, int] = field(default_factory=dict)
+    _kind: type | None = field(init=False, repr=False, default=None)  # Arm, Channel or no key
 
     def __post_init__(self) -> None:
         if self.duration_ps <= 0:
@@ -75,10 +76,12 @@ class EventStream:
         unplaced = {key: n for key, n in self.unplaced_by_key.items() if n}
         if min(unplaced.values(), default=0) < 0:
             raise ValueError("unplaced counts must be >= 0")
-        if len({type(key) for key in (*times_by_key, *unplaced)}) > 1:
+        kinds = {type(key) for key in (*times_by_key, *unplaced)}
+        if len(kinds) > 1:
             raise ValueError("a stream is keyed by arms or by channels, not both")
         object.__setattr__(self, "times_by_key", times_by_key)
         object.__setattr__(self, "unplaced_by_key", unplaced)
+        object.__setattr__(self, "_kind", kinds.pop() if kinds else None)
 
     @property
     def times(self) -> np.ndarray:
@@ -116,8 +119,7 @@ class EventStream:
         ``Arm`` and ``Channel`` values compare equal across the two enums,
         so a key of the other kind than the stream's is refused.
         """
-        kinds = {type(k) for k in (*self.times_by_key, *self.unplaced_by_key)}
-        if kinds and type(key) not in kinds:
+        if self._kind is not None and type(key) is not self._kind:
             raise ValueError(f"{key!r} is not a key of this stream's kind")
         times = {key: self.times_by_key.get(key, _NO_TIMES)}
         unplaced = {key: self.unplaced_by_key.get(key, 0)}

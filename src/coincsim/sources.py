@@ -424,17 +424,13 @@ def _blocked_rate_times(
         x = rng.random(n)
         x.sort()
         x *= inside
-        g = np.searchsorted(gate_cum[:-1], x, side="right")  # sorted, as x is
-        # the gates hit, once each, and k: each arrival's gate among them
-        new = np.ones(n, dtype=bool)
-        np.not_equal(g[1:], g[:-1], out=new[1:])
-        lo_hit = lo[g[new]]
-        k = np.cumsum(new) - 1
-        y = x - np.where(g > 0, gate_cum[g - 1], 0.0) + mean_before(lo_hit)[k]  # mean before it
+        g = np.searchsorted(gate_cum[:-1], x, side="right")
+        lo_g = lo[g]
+        y = x - np.where(g > 0, gate_cum[g - 1], 0.0) + mean_before(lo_g)  # mean before it
         b = np.searchsorted(at_edge[1:-1], y, side="right")
         offset = ((y - at_edge[b]) / rate[b]).astype(np.int64)
         t = b * tau + np.minimum(offset, tau - 1)
-        np.clip(t, lo_hit[k], close(lo_hit)[k] - 1, out=t)  # rounding at the block and gate edges
+        np.clip(t, lo_g, close(lo_g) - 1, out=t)  # rounding at the block and gate edges
         n_out = int(rng.poisson(share * outside)) if share * outside > 0 else 0
         placed.append((t, n_out))
     return placed
