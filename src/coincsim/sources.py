@@ -361,7 +361,8 @@ def project_idler_path(
         raise ValueError("unplaced arrivals carry no time and cannot be projected")
     times = idler.times
     take1 = np.random.default_rng(seed).random(len(times)) < path1_fraction
-    paths = {Arm.IDLER_PATH1: times[take1], Arm.IDLER_PATH2: times[~take1]}
+    # compress, not a boolean index: a random mask defeats branch prediction.
+    paths = {Arm.IDLER_PATH1: times.compress(take1), Arm.IDLER_PATH2: times.compress(~take1)}
     return ArrivalStream(idler.duration_ps, paths, idler.gates)
 
 

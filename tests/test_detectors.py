@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from coincsim.detectors import DetectorConfig, detect
 from coincsim.errors import ConfigError
-from coincsim.events import Channel
+from coincsim.events import Channel, derive_seed
 from coincsim.sources import Arm, ArrivalStream, gen_poisson_arrivals
 
 from stat_helpers import assert_canonical, poisson_chisq_pvalue
@@ -70,6 +70,14 @@ class TestEfficiency:
         src = gen_poisson_arrivals(1e5, MS, Arm.BEAM1, seed=4)
         out = detect(src, DetectorConfig(channel=Channel.D1, efficiency=0.3), seed=9)
         assert set(out.times.tolist()) <= set(src.times.tolist())
+
+    def test_kept_times_are_the_masked_draw_with_ties(self):
+        # tied timestamps keep their order: the kept times are the arrivals
+        # under the mask of the "thin" substream's uniform draw, with no re-sort
+        times = np.repeat(np.arange(0, MS, MS // 500, dtype=np.int64), 3)
+        out = detect(arrivals_at(times), DetectorConfig(channel=Channel.D1, efficiency=0.4), seed=9)
+        u = np.random.default_rng(derive_seed(9, "thin")).random(len(times))
+        assert np.array_equal(out.times, times[u < 0.4])
 
     def test_thinning_is_monotone_in_efficiency(self):
         # same seed: raising the efficiency can only add events, never swap

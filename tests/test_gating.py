@@ -104,6 +104,8 @@ class TestGatesPeriodic:
         g = make_gates_periodic(rate_hz, duration_ps, window_ps)
         np.testing.assert_array_equal(g.opens, periodic_opens_reference(rate_hz, duration_ps))
         assert g.window_ps == window_ps
+        # the answer seeded at construction agrees with the scan over the openings
+        assert g.disjoint == bool(np.all(np.diff(g.opens) >= window_ps))
 
 
 def periodic_opens_reference(rate_hz, duration_ps):
@@ -256,4 +258,19 @@ class TestSparseLookup:
         assert hits.tolist() == [True, True, False, False]
 
     def test_periodic_gates_are_disjoint(self):
-        assert make_gates_periodic(65_000, 10**9, 7 * NS).disjoint
+        gates = make_gates_periodic(65_000, 10**9, 7 * NS)
+        assert "disjoint" in vars(gates)  # known at construction, no scan
+        assert gates.disjoint
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.array([10, 25, 99, 150, 310], dtype=np.int64),  # all between gates
+            np.empty(0, dtype=np.int64),
+        ],
+    )
+    def test_event_search_without_hits(self, times):
+        gates = GateList(window_ps=10, opens=np.array([0, 100, 200, 300], dtype=np.int64))
+        expected = _hits_by_gate(gates, times)
+        assert not expected.any()
+        np.testing.assert_array_equal(_hits_by_event(gates, times), expected)

@@ -1,5 +1,6 @@
 """Smoke tests: each script in ``scripts/`` runs end to end on a tiny input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -38,3 +39,20 @@ def test_reproduce_experiments_writes_results_csv(tmp_path):
     assert proc.stdout.startswith("classical_wave: alpha = ")
     header = (tmp_path / "classical_wave.csv").read_text().splitlines()[0]
     assert header == "point,rate_cps,N,N1,N2,Nc,alpha,sigma"
+
+
+def test_bench_writes_record(tmp_path):
+    proc = run_script(
+        "bench.py", "--label", "smoke", "--seeds", "1", "--seconds", "0.5",
+        "--workload", "gated_coherent", "--out-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert record["label"] == "smoke"
+    assert record["provenance"]["nproc"] == os.cpu_count()
+    assert record["provenance"]["seeds"] == [1]
+    entry = record["workloads"]["gated_coherent"]
+    assert list(record["workloads"]) == ["gated_coherent"]
+    assert entry["failed"] == 0 and len(entry["digests"]) == 1
+    for metric in ("acq_per_s", "setup_s", "peak_rss_mb"):
+        assert entry[metric]["median"] > 0 and entry[metric]["iqr"] == 0
