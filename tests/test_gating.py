@@ -107,6 +107,16 @@ class TestGatesPeriodic:
         # the answer seeded at construction agrees with the scan over the openings
         assert g.disjoint == bool(np.all(np.diff(g.opens) >= window_ps))
 
+    def test_window_within_a_tick_of_the_period_is_scanned(self):
+        # with a window less than 1 ps under the period, two rounded openings
+        # can land one tick closer than the window: such gates overlap, so
+        # the list is not marked disjoint without the scan
+        rate_hz = 117.38745385916434
+        window_ps = int(1e12 / rate_hz)
+        gates = make_gates_periodic(rate_hz, 1000 * window_ps, window_ps)
+        assert np.diff(gates.opens).min() < window_ps
+        assert not gates.disjoint
+
 
 def periodic_opens_reference(rate_hz, duration_ps):
     """Every ideal opening rounded to the tick, then those before ``duration_ps``."""
