@@ -4,8 +4,8 @@
 For each ``configs/*.cfg`` this runs the full simulation, writes
 ``<out-dir>/<name>.csv``, and prints a one-line summary comparing the
 combined alpha against the model prediction.  On a 2-core VM the whole set
-takes about 40 s: pdc_sweep ~19 s, thermal_bunched_short ~11 s,
-thermal_bunched_long ~3 s, pdc_low_rate ~3 s, the rest under 1 s each.
+takes about 12 s: pdc_sweep ~5.5 s, thermal_bunched_short ~3.5 s,
+thermal_bunched_long ~1.6 s, pdc_low_rate ~0.7 s, the rest under 0.5 s each.
 ``--only`` selects a subset by name.
 """
 

@@ -103,19 +103,19 @@ def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> Gat
     if window_ps <= 0:
         raise ConfigError("window_ps must be positive")
     period_ps = 1e12 / rate_hz
-    if window_ps >= period_ps:
+    # Rounding moves each opening by <= 0.5 ps, so openings lie >= period - 1 ps
+    # apart: a window at most that long never overlaps the next gate.
+    if window_ps > period_ps - 1:
         raise ConfigError(
-            f"gate window ({window_ps} ps) must be shorter than the gate period "
-            f"({period_ps:.0f} ps): consecutive gates would overlap"
+            f"run.window_ps ({window_ps} ps) must be at least 1 ps shorter than "
+            f"the period of run.gate_rate_hz ({period_ps:.1f} ps): gates would overlap"
         )
     n = int(np.ceil(duration_ps / period_ps)) + 1
     ideal = np.arange(n, dtype=np.float64)
     ideal *= period_ps
     opens = np.rint(ideal, out=ideal).astype(np.int64)
     gates = GateList(window_ps, opens[: np.searchsorted(opens, duration_ps)])
-    # Rounding moves each opening by <= 0.5 ps, so openings lie >= period - 1 ps apart.
-    if window_ps <= period_ps - 1:
-        vars(gates)["disjoint"] = True
+    vars(gates)["disjoint"] = True
     return gates
 
 

@@ -53,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, fields, replace
 from enum import Enum
 from functools import partial
-from typing import Callable, get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -192,10 +192,11 @@ class ScenarioConfig:
                 raise ConfigError(f"run.gate_rate_hz is required for kind={self.kind.value}")
             if not (self.gate_rate_hz > 0) or not math.isfinite(self.gate_rate_hz):
                 raise ConfigError("run.gate_rate_hz must be finite and > 0")
-            if self.gate_rate_hz * self.window_ps >= PICOSECONDS_PER_SECOND:
+            period_ps = PICOSECONDS_PER_SECOND / self.gate_rate_hz
+            if self.window_ps > period_ps - 1:
                 raise ConfigError(
-                    "gate window must be shorter than the gate period "
-                    f"(rate {self.gate_rate_hz:g} Hz, window {self.window_ps} ps)"
+                    f"run.window_ps ({self.window_ps} ps) must be at least 1 ps shorter than "
+                    f"the period of run.gate_rate_hz ({period_ps:.1f} ps)"
                 )
             gates = math.ceil(self.acquisition_duration_ps * self.gate_rate_hz * 1e-12)
             if gates > MAX_ELEMENTS_PER_ACQUISITION:
@@ -281,20 +282,26 @@ class _Section:
         self._map = dict(mapping)
         self._seen: set[str] = set()
 
-    def _raw(self, key: str, default):
-        self._seen.add(key)
-        if key in self._map:
-            return self._map[key]
-        if default is MISSING:
-            raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-        return default
+    def get(self, key: str, type_, default=MISSING):
+        """The value of ``key`` parsed as ``type_``.
 
-    def get(self, key: str, type_: type, default=MISSING):
-        """The value of ``key`` parsed as ``type_``: str, int, float or an Enum."""
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        v = v.strip()
+        ``type_`` is str, int, float, an Enum, ``X | None`` (parsed as X) or
+        ``tuple[X, ...]`` (whitespace- or comma-separated items).  An omitted
+        key gives ``default`` and is required when that is ``MISSING``.
+        """
+        self._seen.add(key)
+        if key not in self._map:
+            if default is MISSING:
+                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
+            return default
+        return self._parse(key, self._map[key].strip(), type_)
+
+    def _parse(self, key: str, v: str, type_):
+        if get_origin(type_) is tuple:
+            items = v.replace(",", " ").split()
+            return tuple(self._parse(key, item, get_args(type_)[0]) for item in items)
+        if get_origin(type_) is not None:  # X | None
+            return self._parse(key, v, get_args(type_)[0])
         try:
             return type_(v)
         except ValueError:
@@ -304,42 +311,35 @@ class _Section:
             expected = "an integer" if type_ is int else "a number"
             raise ConfigError(f"[{self.name}] {key}: expected {expected}, got {v!r}") from None
 
-    def get_list(self, key: str, convert: Callable, default=MISSING):
-        v = self._raw(key, default)
-        if not isinstance(v, str):
-            return v
-        items = v.replace(",", " ").split()
-        out = []
-        for item in items:
-            try:
-                out.append(convert(item))
-            except ValueError:
-                raise ConfigError(
-                    f"[{self.name}] {key}: bad list entry {item!r}"
-                ) from None
-        return tuple(out)
-
     def finish(self) -> None:
         unknown = sorted(set(self._map) - self._seen)
         if unknown:
             raise ConfigError(f"[{self.name}] has unknown key '{unknown[0]}'")
 
 
-def _read_fields(sec: _Section, cls, defaults: dict, **fixed):
-    """``cls(**fixed, ...)`` with every other field read from its key in ``sec``.
+# The [run] and [sweep] keys, each the ScenarioConfig field of the same name.
+_RUN_SECTIONS = {
+    "run": ("window_ps", "acquisitions", "acquisition_duration_ps", "master_seed",
+            "gate_rate_hz", "gate_policy", "label"),
+    "sweep": ("multipliers", "acquisitions_per_point", "overall_points"),
+}
+_DETECTOR_KEYS = tuple(f.name for f in fields(DetectorConfig) if f.name != "channel")
 
-    A field's annotated type (float, int or an Enum) parses its value; a key
-    the section omits takes its value from ``defaults`` and is required when
-    that is ``MISSING``.
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _read_fields(sec: _Section, cls, names, defaults: dict) -> dict:
+    """The fields ``names`` of ``cls``, each read from its key in ``sec``.
+
+    A field's annotated type parses its value; a key the section omits takes
+    its value from ``defaults`` and is required when that is ``MISSING``.
     """
     types = get_type_hints(cls)
-    values = {
-        f.name: sec.get(f.name, types[f.name], defaults[f.name])
-        for f in fields(cls)
-        if f.name not in fixed
-    }
+    values = {name: sec.get(name, types[name], defaults[name]) for name in names}
     sec.finish()
-    return cls(**fixed, **values)
+    return values
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -350,7 +350,7 @@ def parse_config(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
-    known = {"source", "run", "sweep", "detector.trigger", "detector.d1", "detector.d2"}
+    known = {"source", *_RUN_SECTIONS, *(f"detector.{name}" for name in _SECTION_CHANNEL)}
     for name in cp.sections():
         if name not in known:
             raise ConfigError(f"unknown config section [{name}]")
@@ -360,91 +360,48 @@ def parse_config(text: str) -> ScenarioConfig:
     sec = _Section("source", cp["source"])
     kind = sec.get("kind", SourceKind)
     cls = next(c for c in get_args(SourceConfig) if c.kind is kind)
-    source = _read_fields(sec, cls, {f.name: f.default for f in fields(cls)})
+    defaults = _field_defaults(cls)
+    values = {"source": cls(**_read_fields(sec, cls, defaults.keys(), defaults))}
 
-    detectors: dict[str, DetectorConfig | None] = {}
     for name, channel in _SECTION_CHANNEL.items():
         section = f"detector.{name}"
-        detectors[name] = None
         if cp.has_section(section):
-            defaults = vars(default_detector(channel))
             sec = _Section(section, cp[section])
-            detectors[name] = _read_fields(sec, DetectorConfig, defaults, channel=channel)
+            defaults = vars(default_detector(channel))
+            values[name] = DetectorConfig(
+                channel=channel, **_read_fields(sec, DetectorConfig, _DETECTOR_KEYS, defaults)
+            )
 
-    run = _Section("run", cp["run"] if cp.has_section("run") else {})
-    window_ps = run.get("window_ps", int, 7000)
-    acquisitions = run.get("acquisitions", int, 500)
-    duration = run.get("acquisition_duration_ps", int, PICOSECONDS_PER_SECOND)
-    master_seed = run.get("master_seed", int, 0)
-    gate_rate = run.get("gate_rate_hz", float, None)
-    gate_policy = run.get("gate_policy", GatePolicy, GatePolicy.DROP_OVERLAPPING)
-    label = run.get("label", str, "")
-    run.finish()
-
-    sweep = _Section("sweep", cp["sweep"] if cp.has_section("sweep") else {})
-    multipliers = sweep.get_list("multipliers", float, (1.0,))
-    acq_per_point = sweep.get_list("acquisitions_per_point", int, None)
-    overall_points = sweep.get_list("overall_points", int, None)
-    sweep.finish()
-
-    return ScenarioConfig(
-        source=source,
-        trigger=detectors["trigger"],
-        d1=detectors["d1"],
-        d2=detectors["d2"],
-        window_ps=window_ps,
-        acquisitions=acquisitions,
-        acquisition_duration_ps=duration,
-        master_seed=master_seed,
-        gate_rate_hz=gate_rate,
-        gate_policy=gate_policy,
-        multipliers=multipliers,
-        acquisitions_per_point=acq_per_point,
-        overall_points=overall_points,
-        label=label,
-    )
+    defaults = _field_defaults(ScenarioConfig)
+    for section, names in _RUN_SECTIONS.items():
+        sec = _Section(section, cp[section] if cp.has_section(section) else {})
+        values.update(_read_fields(sec, ScenarioConfig, names, defaults))
+    return ScenarioConfig(**values)
 
 
 def _fmt(x) -> str:
+    if isinstance(x, tuple):
+        return " ".join(_fmt(v) for v in x)
     if isinstance(x, Enum):
         return x.value
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def _field_lines(obj, skip: str = "") -> list[str]:
-    return [f"{f.name} = {_fmt(getattr(obj, f.name))}" for f in fields(obj) if f.name != skip]
+def _field_lines(obj, names) -> list[str]:
+    """``name = value`` for each of the fields ``names`` of ``obj`` that is not None."""
+    return [f"{name} = {_fmt(v)}" for name in names if (v := getattr(obj, name)) is not None]
 
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Render a config back to INI text; parse_config inverts this exactly."""
-    lines = ["[source]", f"kind = {config.kind.value}", *_field_lines(config.source)]
-    for name in ("trigger", "d1", "d2"):
+    names = [f.name for f in fields(config.source)]
+    lines = ["[source]", f"kind = {config.kind.value}", *_field_lines(config.source, names)]
+    for name in _SECTION_CHANNEL:
         det: DetectorConfig | None = getattr(config, name)
         if det is not None:
-            lines += ["", f"[detector.{name}]", *_field_lines(det, skip="channel")]
-
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"window_ps = {config.window_ps}")
-    lines.append(f"acquisitions = {config.acquisitions}")
-    lines.append(f"acquisition_duration_ps = {config.acquisition_duration_ps}")
-    lines.append(f"master_seed = {config.master_seed}")
-    if config.gate_rate_hz is not None:
-        lines.append(f"gate_rate_hz = {_fmt(config.gate_rate_hz)}")
-    lines.append(f"gate_policy = {config.gate_policy.value}")
-    if config.label:
-        lines.append(f"label = {config.label}")
-
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append("multipliers = " + " ".join(_fmt(m) for m in config.multipliers))
-    if config.acquisitions_per_point is not None:
-        lines.append(
-            "acquisitions_per_point = "
-            + " ".join(str(a) for a in config.acquisitions_per_point)
-        )
-    if config.overall_points is not None:
-        lines.append("overall_points = " + " ".join(str(p) for p in config.overall_points))
+            lines += ["", f"[detector.{name}]", *_field_lines(det, _DETECTOR_KEYS)]
+    for section, names in _RUN_SECTIONS.items():
+        lines += ["", f"[{section}]", *_field_lines(config, names)]
     lines.append("")
     return "\n".join(lines)
 
@@ -738,10 +695,8 @@ def emit_results_csv(result: ScenarioResult) -> str:
     chosen = [result.points[i - 1] for i in result.overall_point_ids]
     total_seconds = sum(p.seconds for p in chosen)
     mean_rate = sum(p.rate_cps * p.seconds for p in chosen) / total_seconds
-    totals = chosen[0].counts
-    for p in chosen[1:]:
-        totals = totals + p.counts
+    overall = result.overall
     lines.append(
-        csv_row("overall", mean_rate, *astuple(totals), result.overall.alpha, result.overall.sigma)
+        csv_row("overall", mean_rate, *astuple(overall.counts), overall.alpha, overall.sigma)
     )
     return "\n".join(lines) + "\n"

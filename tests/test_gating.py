@@ -100,22 +100,22 @@ class TestGatesPeriodic:
         # the k-th ideal opening lands just above, at or just below duration_ps
         rate_hz = 1e12 / period_ps
         duration_ps = max(int(np.rint(k * (1e12 / rate_hz))) - delta, 1)
-        window_ps = 1 + int(window_share * (np.ceil(1e12 / rate_hz) - 2))
+        # every accepted window: 1 .. floor(period - 1)
+        window_ps = 1 + int(window_share * (np.floor(1e12 / rate_hz - 1) - 1))
         g = make_gates_periodic(rate_hz, duration_ps, window_ps)
         np.testing.assert_array_equal(g.opens, periodic_opens_reference(rate_hz, duration_ps))
         assert g.window_ps == window_ps
         # the answer seeded at construction agrees with the scan over the openings
         assert g.disjoint == bool(np.all(np.diff(g.opens) >= window_ps))
 
-    def test_window_within_a_tick_of_the_period_is_scanned(self):
+    def test_window_within_a_tick_of_the_period_rejected(self):
         # with a window less than 1 ps under the period, two rounded openings
-        # can land one tick closer than the window: such gates overlap, so
-        # the list is not marked disjoint without the scan
+        # can land one tick closer than the window, so the gates would overlap
         rate_hz = 117.38745385916434
         window_ps = int(1e12 / rate_hz)
-        gates = make_gates_periodic(rate_hz, 1000 * window_ps, window_ps)
-        assert np.diff(gates.opens).min() < window_ps
-        assert not gates.disjoint
+        with pytest.raises(ConfigError, match="run.window_ps") as err:
+            make_gates_periodic(rate_hz, 1000 * window_ps, window_ps)
+        assert "run.gate_rate_hz" in str(err.value)
 
 
 def periodic_opens_reference(rate_hz, duration_ps):

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from coincsim.estimators import AlphaEstimate
 from coincsim.events import Channel
 from coincsim.gating import GatePolicy
 from coincsim.scenario import (
+    _RUN_SECTIONS,
+    _SECTION_CHANNEL,
     RESULTS_HEADER,
     ScenarioConfig,
     SourceKind,
@@ -33,6 +36,8 @@ from coincsim.sources import (
 from coincsim.timetags import write_timetag_file
 
 from stat_helpers import stream_of
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 PDC_MINIMAL = """
 [source]
@@ -114,7 +119,9 @@ class TestParseConfig:
                 source=src,
                 window_ps=7000,
                 acquisitions=12,
+                acquisition_duration_ps=3 * 10**11,
                 master_seed=42,
+                gate_policy=GatePolicy.ALLOW_OVERLAP,
                 multipliers=(1.0, 2.0),
                 acquisitions_per_point=(12, 6),
                 overall_points=(1,),
@@ -123,6 +130,17 @@ class TestParseConfig:
             )
             text = serialize_config(cfg)
             assert parse_config(text) == cfg
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_shipped_config_round_trips(self, path):
+        cfg = parse_config(path.read_text())
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_every_field_is_in_a_config_section(self):
+        in_sections = ["source", *_SECTION_CHANNEL]
+        for names in _RUN_SECTIONS.values():
+            in_sections += names
+        assert sorted(f.name for f in dataclasses.fields(ScenarioConfig)) == sorted(in_sections)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match=r"\[camera\]"):
@@ -139,6 +157,26 @@ class TestParseConfig:
     def test_bad_number_names_key(self):
         with pytest.raises(ConfigError, match="pair_rate_hz"):
             parse_config("[source]\nkind = pdc\npair_rate_hz = fast\n")
+
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("run", "window_ps = 7.5", "expected an integer, got '7.5'"),
+            ("run", "gate_rate_hz = fast", "expected a number, got 'fast'"),
+            ("run", "gate_policy = sometimes", "drop_overlapping, allow_overlap"),
+            ("sweep", "multipliers = 1 x", "'x'"),
+            ("run", "windows_ps = 7000", "unknown key"),
+            ("sweep", "multiplier = 2", "unknown key"),
+        ],
+        ids=["int", "float", "enum", "list-entry", "unknown-run", "unknown-sweep"],
+    )
+    def test_run_section_errors_name_section_and_key(self, section, line, message):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{PDC_MINIMAL}\n[{section}]\n{line}\n")
+        assert f"[{section}]" in str(err.value)
+        assert key in str(err.value)
+        assert message in str(err.value)
 
     def test_syntax_error_reported(self):
         with pytest.raises(ConfigError, match="syntax"):
@@ -164,6 +202,18 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="window"):
             parse_config(text)
+
+    def test_window_within_a_tick_of_the_gate_period_rejected(self):
+        # rounded openings could land one tick closer than this window
+        rate_hz = 117.38745385916434
+        with pytest.raises(ConfigError, match="run.window_ps") as err:
+            ScenarioConfig(
+                source=CoherentSourceConfig(mean_rate_hz=1e3),
+                gate_rate_hz=rate_hz,
+                window_ps=int(1e12 / rate_hz),
+                acquisition_duration_ps=10**13,
+            )
+        assert "run.gate_rate_hz" in str(err.value)
 
     def test_sweep_length_mismatch(self):
         text = PDC_MINIMAL + "\n[sweep]\nmultipliers = 1 2\nacquisitions_per_point = 5\n"
