@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Record the benchmark's end-to-end metrics over several seeds as BENCH_<label>.json.
+"""Record the benchmark's end-to-end metrics of this tree against a base commit.
 
-Runs ``benchmark/run.py --trace 0`` once per workload and seed, seeds 1..K,
-and writes the median, quartiles and every run of each end-to-end metric of
-``BENCHMARK.json``, per workload, with the digests and failed operations of
-the runs and the provenance of the record (commit, nproc, Python and numpy
-versions).  A perf change commits its record and quotes before and after
-from two such files:
+Checks out ``--base REV`` as a detached worktree in a temporary directory
+and, for each seed 1..K and each workload, runs ``benchmark/run.py --trace 0``
+of both trees back to back, each tree's own harness on its own ``src/``.
+The side that goes first alternates from pair to pair, so slow drift of the
+machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
+workload, each side's median, quartiles and runs of every end-to-end metric
+of ``BENCHMARK.json``, the head/base ratio of every pair with its median and
+the number of pairs the head won, the failed operations, and whether the two
+sides' digests match; its provenance names both commits.  A perf change
+quotes the median ratio and the wins from its record:
 
-    python3 scripts/bench.py --label pr9 --seeds 5
+    python3 scripts/bench.py --base HEAD~1 --label pr11 --seeds 5
 
-takes about 4 x 5 x 30 s on a 2-core VM at the default 20 s per run.
+takes about 2 x 4 x 5 x 30 s on a 2-core VM at the default 20 s per run.
+The worktree is removed when the script ends, also when a run fails.
 """
 
 from __future__ import annotations
@@ -18,37 +23,35 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-RUN = REPO_ROOT / "benchmark" / "run.py"
 
 
-def git(*args: str) -> str | None:
-    try:
-        proc = subprocess.run(
-            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=True
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
+def git(*args: str, check: bool = True) -> str:
+    proc = subprocess.run(["git", *args], cwd=REPO_ROOT, capture_output=True, text=True)
+    if check and proc.returncode != 0:
+        raise SystemExit(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
     return proc.stdout.strip()
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced benchmark run: (report, result) from its last two lines."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One untraced run of ``tree``'s benchmark: (report, result) from its last two lines."""
     cmd = [
-        sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-        "--seconds", repr(seconds), "--trace", "0",
+        sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=REPO_ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
     if proc.returncode not in (0, 1) or len(lines) < 2:
         raise SystemExit(
-            f"benchmark/run.py failed on {workload} seed {seed} "
+            f"{tree}/benchmark/run.py failed on {workload} seed {seed} "
             f"(exit {proc.returncode}): {proc.stderr.strip()}"
         )
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
@@ -69,12 +72,42 @@ def spread(values: list[float]) -> dict:
     }
 
 
+def side(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """One side of one workload: each metric's spread, failed operations, digests."""
+    entry = {
+        m["name"]: spread([result["metrics"][m["name"]]["value"] for _, result in runs])
+        for m in metrics
+    }
+    entry["attempted"] = sum(result["attempted"] for _, result in runs)
+    entry["failed"] = sum(result["failed"] for _, result in runs)
+    entry["digests"] = [report["digest"] for report, _ in runs]
+    return entry
+
+
+def paired(base: dict, head: dict, metrics: list[dict]) -> dict:
+    """Per metric: the head/base ratio of every pair, their median, and the head's wins."""
+    out = {}
+    for m in metrics:
+        ratios = [h / b for b, h in zip(base[m["name"]]["runs"], head[m["name"]]["runs"])]
+        won = (lambda r: r > 1.0) if m["better"] == "higher" else (lambda r: r < 1.0)
+        out[m["name"]] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "ratios": ratios,
+            "median_ratio": statistics.median(ratios),
+            "head_won": sum(won(r) for r in ratios),
+        }
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
+    metrics = bench["end_to_end"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision the head is paired against")
     parser.add_argument("--label", required=True, help="the record is BENCH_<label>.json")
-    parser.add_argument("--seeds", type=int, default=5, help="runs per workload (seeds 1..K)")
+    parser.add_argument("--seeds", type=int, default=5, help="pairs per workload (seeds 1..K)")
     parser.add_argument(
         "--seconds", type=float, default=bench["run_seconds"], help="timed seconds per run"
     )
@@ -92,42 +125,52 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seconds must be > 0")
     workloads = args.workload or names
     seeds = list(range(1, args.seeds + 1))
+    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
 
-    runs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in workloads}
-    # Seeds outer, workloads inner, so slow drift of the machine spreads over
-    # every workload instead of landing on one.
-    for seed in seeds:
-        for workload in workloads:
-            report, result = run_once(workload, seed, args.seconds)
-            runs[workload].append((report, result))
-            print(
-                f"{workload} seed {seed}: "
-                + ", ".join(f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
-                file=sys.stderr,
-            )
+    runs = {name: {w: [] for w in workloads} for name in ("base", "head")}
+    scratch = Path(tempfile.mkdtemp(prefix="coincsim-bench-"))
+    base_tree = scratch / "base"
+    try:
+        git("worktree", "add", "--detach", str(base_tree), base_commit)
+        trees = {"base": base_tree, "head": REPO_ROOT}
+        # Seeds outer, workloads inner, so slow drift of the machine spreads
+        # over every workload instead of landing on one.
+        pairs = [(seed, workload) for seed in seeds for workload in workloads]
+        for k, (seed, workload) in enumerate(pairs):
+            order = ("base", "head") if k % 2 == 0 else ("head", "base")
+            for name in order:
+                report, result = run_once(trees[name], workload, seed, args.seconds)
+                runs[name][workload].append((report, result))
+                print(
+                    f"{workload} seed {seed} {name}: "
+                    + ", ".join(f"{m} {v['value']:.4g}" for m, v in result["metrics"].items()),
+                    file=sys.stderr,
+                )
+    finally:
+        git("worktree", "remove", "--force", str(base_tree), check=False)
+        shutil.rmtree(scratch, ignore_errors=True)
+        git("worktree", "prune", check=False)
 
     record_workloads = {}
-    for workload, pairs in runs.items():
-        entry = {
-            m["name"]: {
-                "unit": m["unit"],
-                "better": m["better"],
-                **spread([result["metrics"][m["name"]]["value"] for _, result in pairs]),
-            }
-            for m in bench["end_to_end"]
+    for workload in workloads:
+        base = side(runs["base"][workload], metrics)
+        head = side(runs["head"][workload], metrics)
+        record_workloads[workload] = {
+            "base": base,
+            "head": head,
+            "pairs": paired(base, head, metrics),
+            "digests_match": base["digests"] == head["digests"],
         }
-        entry["attempted"] = sum(result["attempted"] for _, result in pairs)
-        entry["failed"] = sum(result["failed"] for _, result in pairs)
-        entry["digests"] = [report["digest"] for report, _ in pairs]
-        record_workloads[workload] = entry
 
-    first = next(iter(runs.values()))[0][0]
+    first = runs["head"][workloads[0]][0][0]
     status = git("status", "--porcelain", "--untracked-files=no")
     record = {
         "label": args.label,
         "provenance": {
-            "commit": git("rev-parse", "HEAD"),
-            "uncommitted_changes": None if status is None else bool(status),
+            "head_commit": git("rev-parse", "HEAD"),
+            "head_uncommitted_changes": bool(status),
+            "base": args.base,
+            "base_commit": base_commit,
             "nproc": os.cpu_count(),
             "python": first["versions"]["python"],
             "numpy": first["versions"]["numpy"],

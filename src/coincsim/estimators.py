@@ -50,8 +50,9 @@ estimates can be checked without re-deriving them from counts:
 
   where L_k are the overlaps of the window with the intensity blocks it
   straddles, averaged over the window's position relative to the block grid.
-  For W <= tau the closed form is alpha = 2 - (W / tau) / 3; for W >> tau
-  block fluctuations average out and alpha -> 1; for W << tau alpha -> 2.
+  With r = W / tau this is alpha = 2 - r/3 for r <= 1 and
+  alpha = 1 + 1/r - 1/(3 r^2) for r >= 1: for W >> tau block fluctuations
+  average out and alpha -> 1; for W << tau alpha -> 2.
 * per-gate wave model: alpha = <I^2> / <I>^2 of the per-gate intensity law
   (1 for a constant intensity, 2 for an exponential one), in the linear
   regime where firing probabilities are proportional to I.
@@ -74,7 +75,6 @@ __all__ = [
     "OracleParams",
     "alpha_estimate",
     "expected_alpha_classical_wave",
-    "expected_alpha_independent",
     "expected_alpha_pdc",
     "expected_alpha_thermal_shared",
     "sigma_separation",
@@ -183,34 +183,18 @@ def expected_alpha_pdc(params: OracleParams) -> float:
     return pc / (p1 * p2)
 
 
-def expected_alpha_independent() -> float:
-    """Two independent beams gate-count independently: alpha is exactly 1."""
-    return 1.0
-
-
-def expected_alpha_thermal_shared(
-    window_ps: int, coherence_time_ps: int, n_grid: int = 200001
-) -> float:
+def expected_alpha_thermal_shared(window_ps: int, coherence_time_ps: int) -> float:
     """alpha for shared-mode chaotic light counted in windows of length W.
 
-    Evaluates 1 + E_u[ sum_k L_k(u)^2 ] / W^2 by midpoint quadrature over the
-    window offset u in [0, tau): a window starting at offset u overlaps the
-    first block by min(tau - u, W), then some number of full blocks, then a
-    remainder.  Exponential intensities with mean 1 have E[I^2] = 2, which is
-    where the excess over 1 comes from.  Agrees with the closed form
-    2 - (W/tau)/3 for W <= tau.
+    Averaging sum_k L_k^2 over the window's offset from the block grid gives,
+    with r = W / tau, 2 - r/3 for r <= 1 and 1 + 1/r - 1/(3 r^2) for r >= 1
+    (both 5/3 at r = 1).  Exponential intensities with mean 1 have
+    E[I^2] = 2, which is where the excess over 1 comes from.
     """
     if window_ps <= 0 or coherence_time_ps <= 0:
         raise UndefinedEstimateError("window and coherence time must be positive")
-    w = float(window_ps)
-    tau = float(coherence_time_ps)
-    u = (np.arange(n_grid) + 0.5) * (tau / n_grid)
-    first = np.minimum(tau - u, w)
-    rest = w - first
-    n_full = np.floor(rest / tau)
-    tail = rest - n_full * tau
-    sum_sq = first * first + n_full * tau * tau + tail * tail
-    return 1.0 + float(sum_sq.mean()) / (w * w)
+    r = window_ps / coherence_time_ps
+    return 2.0 - r / 3.0 if r <= 1.0 else 1.0 + 1.0 / r - 1.0 / (3.0 * r * r)
 
 
 def expected_alpha_classical_wave(config: ClassicalWaveConfig) -> float:

@@ -13,31 +13,24 @@ Configuration files use INI syntax::
     kind = pdc                        # pdc | coherent | thermal | classical_wave
     pair_rate_hz = 5000               # keys below depend on the kind
 
-    [detector.trigger]                # pdc only; sections optional
-    efficiency = 0.4
-    dark_rate_hz = 100
-
-    [detector.d1]
+    [detector.d1]                     # also d2 and, for pdc only, trigger
     efficiency = 0.5
 
     [run]
     window_ps = 7000
-    acquisitions = 500
-    acquisition_duration_ps = 1000000000000
-    master_seed = 1
     gate_rate_hz = 65000              # generator-gated kinds only
-    gate_policy = drop_overlapping
-    label = demo
 
     [sweep]
     multipliers = 1 2.5 5
-    acquisitions_per_point = 500 500 500   # optional, default = run acquisitions
-    overall_points = 1 2                   # optional 1-based subset, default all
+    overall_points = 1 2              # optional 1-based subset, default all
 
-Unknown sections or keys are rejected, value errors name the offending
-``[section] key``, and kind/key consistency is enforced (a heralded source
-takes no generator rate; generator-gated sources require one; the per-gate
-wave model takes no detector sections because it models detection directly).
+Every key is the field of the same name of the kind's source config, of
+``DetectorConfig`` or of :class:`ScenarioConfig`; an omitted key takes that
+field's default.  Unknown sections or keys are rejected, value errors name
+the offending ``[section] key``, and kind/key consistency is enforced (a
+heralded source takes no generator rate; generator-gated sources require
+one; the per-gate wave model takes no detector sections because it models
+detection directly).
 
 Seeding: every acquisition of every point derives its generator streams from
 (master_seed, acquisition index, "pt<point>:<stage>") via a keyed hash, so
@@ -53,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, fields, replace
 from enum import Enum
 from functools import partial
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,7 +57,6 @@ from .estimators import (
     OracleParams,
     alpha_estimate,
     expected_alpha_classical_wave,
-    expected_alpha_independent,
     expected_alpha_pdc,
     expected_alpha_thermal_shared,
     sigma_separation,
@@ -111,10 +103,9 @@ __all__ = [
 SourceConfig = PdcSourceConfig | CoherentSourceConfig | ThermalSourceConfig | ClassicalWaveConfig
 
 PICOSECONDS_PER_SECOND = 10**12
-# The most elements a config may ask one acquisition to build in one array:
-# periodic gates, or the coherence blocks of shared-mode thermal light (one
-# intensity each); about twice the 1.43e7 blocks of
-# configs/thermal_bunched_long.cfg.
+# The most elements a config may ask one acquisition to build in one array
+# (each kind's ``elements`` lists them); about twice the 1.43e7 coherence
+# blocks of configs/thermal_bunched_long.cfg.
 MAX_ELEMENTS_PER_ACQUISITION = 3 * 10**7
 
 
@@ -158,15 +149,14 @@ class ScenarioConfig:
         if self.acquisitions < 1:
             raise ConfigError("run.acquisitions must be >= 1")
         if self.acquisition_duration_ps <= self.window_ps:
-            raise ConfigError(
-                "run.acquisition_duration_ps must exceed the gate window"
-            )
+            raise ConfigError("run.acquisition_duration_ps must exceed the gate window")
         if "\n" in self.label:
             raise ConfigError("run.label must be a single line")
         if "#" in self.label or ";" in self.label or self.label != self.label.strip():
             # a config file would read these as a comment or drop the whitespace
             raise ConfigError("run.label must not hold '#' or ';' or leading/trailing whitespace")
-        gating = self.source.gating
+        kind = _KINDS[self.kind]
+        gating = kind.gating
         if gating is Gating.TRIGGER:
             if self.gate_rate_hz is not None:
                 raise ConfigError(
@@ -198,12 +188,6 @@ class ScenarioConfig:
                     f"run.window_ps ({self.window_ps} ps) must be at least 1 ps shorter than "
                     f"the period of run.gate_rate_hz ({period_ps:.1f} ps)"
                 )
-            gates = math.ceil(self.acquisition_duration_ps * self.gate_rate_hz * 1e-12)
-            if gates > MAX_ELEMENTS_PER_ACQUISITION:
-                raise ConfigError(
-                    f"run.acquisition_duration_ps * run.gate_rate_hz gives {gates} gates "
-                    f"per acquisition, more than {MAX_ELEMENTS_PER_ACQUISITION}"
-                )
 
         if gating is not Gating.PER_GATE:
             object.__setattr__(self, "d1", self.d1 or default_detector(Channel.D1))
@@ -224,9 +208,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     "sweep.acquisitions_per_point must match sweep.multipliers in length"
                 )
-            for a in self.acquisitions_per_point:
-                if a < 1:
-                    raise ConfigError("sweep.acquisitions_per_point entries must be >= 1")
+            if min(self.acquisitions_per_point) < 1:
+                raise ConfigError("sweep.acquisitions_per_point entries must be >= 1")
         if self.overall_points is not None:
             pts = self.overall_points
             if not pts:
@@ -238,18 +221,16 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"sweep.overall_points entry {p} outside 1..{len(self.multipliers)}"
                     )
-        source = self.source
-        if isinstance(source, ThermalSourceConfig) and source.mode is ThermalMode.SHARED_SINGLE_MODE:
-            blocks = -(-self.acquisition_duration_ps // source.coherence_time_ps)
-            if blocks > MAX_ELEMENTS_PER_ACQUISITION:
-                raise ConfigError(
-                    f"run.acquisition_duration_ps / source.coherence_time_ps gives {blocks} "
-                    f"coherence blocks per acquisition, more than {MAX_ELEMENTS_PER_ACQUISITION}"
-                )
         # Scaling must stay valid at every sweep point; surfaces range errors
         # (e.g. the wave model's linear-regime cap) at parse time.
         for m in self.multipliers:
             _scaled(self.source, m)
+        for keys, count, what in kind.elements(self, _scaled(self.source, max(self.multipliers))):
+            if count > MAX_ELEMENTS_PER_ACQUISITION:
+                raise ConfigError(
+                    f"{keys} gives {count} {what} per acquisition, "
+                    f"more than {MAX_ELEMENTS_PER_ACQUISITION}"
+                )
 
     def acquisitions_for(self, point_index: int) -> int:
         """Acquisitions for the 1-based sweep point."""
@@ -258,16 +239,13 @@ class ScenarioConfig:
         return self.acquisitions_per_point[point_index - 1]
 
 
-_SECTION_CHANNEL = {
-    "trigger": Channel.TRIGGER,
-    "d1": Channel.D1,
-    "d2": Channel.D2,
-}
+_SECTION_CHANNEL = {"trigger": Channel.TRIGGER, "d1": Channel.D1, "d2": Channel.D2}
 
 
 def _scaled(source: SourceConfig, multiplier: float) -> SourceConfig:
     """The source with its swept rate field scaled by ``multiplier``."""
-    return replace(source, **{source.rate_field: getattr(source, source.rate_field) * multiplier})
+    field = _KINDS[source.kind].rate_field
+    return replace(source, **{field: getattr(source, field) * multiplier})
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +337,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     sec = _Section("source", cp["source"])
     kind = sec.get("kind", SourceKind)
-    cls = next(c for c in get_args(SourceConfig) if c.kind is kind)
+    cls = _KINDS[kind].config
     defaults = _field_defaults(cls)
     values = {"source": cls(**_read_fields(sec, cls, defaults.keys(), defaults))}
 
@@ -442,20 +420,15 @@ class _AcqTotals:
     d2_events: int
 
     def __add__(self, other: "_AcqTotals") -> "_AcqTotals":
-        return _AcqTotals(
-            self.counts + other.counts,
-            self.trigger_events + other.trigger_events,
-            self.d1_events + other.d1_events,
-            self.d2_events + other.d2_events,
-        )
+        return _AcqTotals(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
-def _beam_segments(config: ScenarioConfig, gates: GateList) -> GateList | None:
+def _beam_segments(config: ScenarioConfig, gates):
     """Where a generator-gated run places its beam arrivals.
 
     Detectors without jitter or dead time only need the arrivals inside the
     gates: nothing outside one can change a count.  A detector with either
-    gets the whole interval (``None``).
+    gets the whole interval (``None``).  The element bound passes their span.
     """
     ideal = all(d.dead_time_ps == 0 and d.jitter_sigma_ps == 0 for d in (config.d1, config.d2))
     return gates if ideal else None
@@ -468,53 +441,58 @@ def _acquire(
     source: SourceConfig,
     point_index: int,
     gates: GateList | None,
-    beam_gates: GateList | None,
 ) -> _AcqTotals:
-    """Simulate one acquisition of one sweep point."""
+    """Simulate one acquisition of one sweep point, ``gates`` the periodic gates if any."""
 
     def seed(stage: str) -> int:
         return derive_seed(config.master_seed, acq_index, f"pt{point_index}:{stage}")
 
-    dur = config.acquisition_duration_ps
+    return _KINDS[source.kind].acquire(config, source, seed, gates)
 
-    if isinstance(source, PdcSourceConfig):
-        trig_arr, idler = gen_pdc_pairs(source, dur, seed("source"))
-        paths = project_idler_path(idler, seed("path"))
-        trig_ev = detect(trig_arr, config.trigger, seed("det-t"))
-        d1_ev = detect(paths.select_arm(Arm.IDLER_PATH1), config.d1, seed("det-d1"))
-        d2_ev = detect(paths.select_arm(Arm.IDLER_PATH2), config.d2, seed("det-d2"))
-        trig_gates = make_gates_from_trigger(trig_ev, config.window_ps, config.gate_policy)
-        counts = count_gates(trig_gates, d1_ev, d2_ev)
-        return _AcqTotals(counts, len(trig_ev), len(d1_ev), len(d2_ev))
 
-    if isinstance(source, ClassicalWaveConfig):
-        heralds = np.random.default_rng(seed("heralds"))
-        n_gates = int(heralds.poisson(source.herald_rate_hz * dur * 1e-12))
-        p1, p2 = gen_classical_wave_gates(source, n_gates, seed("intensity"))
-        f1 = np.random.default_rng(seed("fire1")).random(n_gates) < p1
-        f2 = np.random.default_rng(seed("fire2")).random(n_gates) < p2
-        counts = CountSummary(
-            n_gates,
-            int(np.count_nonzero(f1)),
-            int(np.count_nonzero(f2)),
-            int(np.count_nonzero(f1 & f2)),
-        )
-        return _AcqTotals(counts, n_gates, counts.n1, counts.n2)
+def _acquire_pdc(config, source: PdcSourceConfig, seed, gates: None) -> _AcqTotals:
+    trig_arr, idler = gen_pdc_pairs(source, config.acquisition_duration_ps, seed("source"))
+    paths = project_idler_path(idler, seed("path"))
+    trig_ev = detect(trig_arr, config.trigger, seed("det-t"))
+    d1_ev = detect(paths.select_arm(Arm.IDLER_PATH1), config.d1, seed("det-d1"))
+    d2_ev = detect(paths.select_arm(Arm.IDLER_PATH2), config.d2, seed("det-d2"))
+    trig_gates = make_gates_from_trigger(trig_ev, config.window_ps, config.gate_policy)
+    counts = count_gates(trig_gates, d1_ev, d2_ev)
+    return _AcqTotals(counts, len(trig_ev), len(d1_ev), len(d2_ev))
 
-    if isinstance(source, ThermalSourceConfig):
-        both = gen_thermal_arrivals(source, dur, seed("source"), beam_gates)
-        b1 = both.select_arm(Arm.BEAM1)
-        b2 = both.select_arm(Arm.BEAM2)
-    else:  # coherent light: two independent Poisson beams
-        b1, b2 = (
-            gen_poisson_arrivals(source.mean_rate_hz, dur, arm, seed(f"beam{k}"), beam_gates)
-            for k, arm in ((1, Arm.BEAM1), (2, Arm.BEAM2))
-        )
+
+def _acquire_coherent(config, source: CoherentSourceConfig, seed, gates: GateList) -> _AcqTotals:
+    dur, beam_gates = config.acquisition_duration_ps, _beam_segments(config, gates)
+    b1, b2 = (
+        gen_poisson_arrivals(source.mean_rate_hz, dur, arm, seed(f"beam{k}"), beam_gates)
+        for k, arm in ((1, Arm.BEAM1), (2, Arm.BEAM2))
+    )
+    return _detect_and_count(config, seed, gates, b1, b2)
+
+
+def _acquire_thermal(config, source: ThermalSourceConfig, seed, gates: GateList) -> _AcqTotals:
+    dur, beam_gates = config.acquisition_duration_ps, _beam_segments(config, gates)
+    both = gen_thermal_arrivals(source, dur, seed("source"), beam_gates)
+    b1, b2 = both.select_arm(Arm.BEAM1), both.select_arm(Arm.BEAM2)
+    return _detect_and_count(config, seed, gates, b1, b2)
+
+
+def _detect_and_count(config, seed, gates: GateList, b1, b2) -> _AcqTotals:
+    """Detect the two beams of a generator-gated run and count them in ``gates``."""
     d1_ev = detect(b1, config.d1, seed("det-d1"))
     d2_ev = detect(b2, config.d2, seed("det-d2"))
     counts = count_gates(gates, d1_ev, d2_ev)
-    events1, events2 = (len(ev) + ev.unplaced for ev in (d1_ev, d2_ev))
-    return _AcqTotals(counts, len(gates), events1, events2)
+    return _AcqTotals(counts, len(gates), *(len(ev) + ev.unplaced for ev in (d1_ev, d2_ev)))
+
+
+def _acquire_wave(config, source: ClassicalWaveConfig, seed, gates: None) -> _AcqTotals:
+    heralds = np.random.default_rng(seed("heralds"))
+    n_gates = int(heralds.poisson(source.herald_rate_hz * config.acquisition_duration_ps * 1e-12))
+    p1, p2 = gen_classical_wave_gates(source, n_gates, seed("intensity"))
+    f1 = np.random.default_rng(seed("fire1")).random(n_gates) < p1
+    f2 = np.random.default_rng(seed("fire2")).random(n_gates) < p2
+    n1, n2, nc = (int(np.count_nonzero(f)) for f in (f1, f2, f1 & f2))
+    return _AcqTotals(CountSummary(n_gates, n1, n2, nc), n_gates, n1, n2)
 
 
 def run_point(
@@ -536,22 +514,12 @@ def run_point(
         raise ConfigError(f"n_acquisitions must be >= 1, got {n_acquisitions}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    multiplier = config.multipliers[point_index - 1]
-    source = _scaled(config.source, multiplier)
-    gates = beam_gates = None
+    source = _scaled(config.source, config.multipliers[point_index - 1])
+    gates = None
     if config.gate_rate_hz is not None:
-        gates = make_gates_periodic(
-            config.gate_rate_hz, config.acquisition_duration_ps, config.window_ps
-        )
-        beam_gates = _beam_segments(config, gates)
-    worker = partial(
-        _acquire,
-        config=config,
-        source=source,
-        point_index=point_index,
-        gates=gates,
-        beam_gates=beam_gates,
-    )
+        dur = config.acquisition_duration_ps
+        gates = make_gates_periodic(config.gate_rate_hz, dur, config.window_ps)
+    worker = partial(_acquire, config=config, source=source, point_index=point_index, gates=gates)
     indices = range(first_acquisition, first_acquisition + n_acquisitions)
     if jobs > 1:
         chunk = max(1, len(indices) // (jobs * 8))
@@ -559,10 +527,7 @@ def run_point(
             parts = list(pool.map(worker, indices, chunksize=chunk))
     else:
         parts = [worker(i) for i in indices]
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+    return sum(parts[1:], parts[0])
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
@@ -572,9 +537,8 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         totals = run_point(config, idx, jobs=jobs)
         seconds = config.acquisitions_for(idx) * config.acquisition_duration_ps * 1e-12
         est = alpha_estimate(totals.counts)
-        trig_rate = totals.trigger_events / seconds
-        d1_rate = totals.d1_events / seconds
-        d2_rate = totals.d2_events / seconds
+        events = (totals.trigger_events, totals.d1_events, totals.d2_events)
+        trig_rate, d1_rate, d2_rate = (n / seconds for n in events)
         points.append(
             PointResult(
                 point=idx,
@@ -585,7 +549,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
                 rate_d2_cps=d2_rate,
                 # Heralded runs sweep the trigger rate; the others the
                 # singles rate (a gate generator never changes).
-                rate_cps=trig_rate if config.source.gating is Gating.TRIGGER else d1_rate,
+                rate_cps=trig_rate if _KINDS[config.kind].gating is Gating.TRIGGER else d1_rate,
                 counts=totals.counts,
                 estimate=est,
             )
@@ -631,42 +595,100 @@ def oracle_per_point(config: ScenarioConfig) -> list[float]:
     uses the exact per-gate mixture over the partner's path.  For the others
     it returns the corresponding closed-form prediction.
     """
-    out: list[float] = []
-    for multiplier in config.multipliers:
-        source = _scaled(config.source, multiplier)
-        if isinstance(source, PdcSourceConfig):
-            w_s = config.window_ps * 1e-12
-            sigma1 = math.hypot(
-                source.pair_jitter_ps,
-                config.trigger.jitter_sigma_ps,
-                config.d1.jitter_sigma_ps,
-            )
-            sigma2 = math.hypot(
-                source.pair_jitter_ps,
-                config.trigger.jitter_sigma_ps,
-                config.d2.jitter_sigma_ps,
-            )
-            params = OracleParams(
-                t1=config.d1.efficiency * _window_capture(config.window_ps, sigma1),
-                t2=config.d2.efficiency * _window_capture(config.window_ps, sigma2),
-                a1=(0.5 * source.pair_rate_hz * config.d1.efficiency + config.d1.dark_rate_hz)
-                * w_s,
-                a2=(0.5 * source.pair_rate_hz * config.d2.efficiency + config.d2.dark_rate_hz)
-                * w_s,
-            )
-            out.append(expected_alpha_pdc(params))
-        elif isinstance(source, CoherentSourceConfig):
-            out.append(expected_alpha_independent())
-        elif isinstance(source, ThermalSourceConfig):
-            if source.mode is ThermalMode.INDEPENDENT_ARMS:
-                out.append(expected_alpha_independent())
-            else:
-                out.append(
-                    expected_alpha_thermal_shared(config.window_ps, source.coherence_time_ps)
-                )
-        else:
-            out.append(expected_alpha_classical_wave(source))
+    predict = _KINDS[config.kind].predict
+    return [predict(config, _scaled(config.source, m)) for m in config.multipliers]
+
+
+def _predict_pdc(config: ScenarioConfig, source: PdcSourceConfig) -> float:
+    w_s = config.window_ps * 1e-12
+    t, a = [], []
+    for det in (config.d1, config.d2):
+        jitter = (source.pair_jitter_ps, config.trigger.jitter_sigma_ps, det.jitter_sigma_ps)
+        sigma = math.hypot(*jitter)
+        t.append(det.efficiency * _window_capture(config.window_ps, sigma))
+        a.append((0.5 * source.pair_rate_hz * det.efficiency + det.dark_rate_hz) * w_s)
+    return expected_alpha_pdc(OracleParams(t1=t[0], t2=t[1], a1=a[0], a2=a[1]))
+
+
+def _predict_thermal(config: ScenarioConfig, source: ThermalSourceConfig) -> float:
+    if source.mode is ThermalMode.INDEPENDENT_ARMS:
+        return 1.0  # independent beams gate-count independently, as coherent ones do
+    return expected_alpha_thermal_shared(config.window_ps, source.coherence_time_ps)
+
+
+# ---------------------------------------------------------------------------
+# the one table of per-kind facts; ``elements`` lists the arrays one
+# acquisition builds as (the keys that set the size, the expected size, what)
+
+_Elements = list[tuple[str, int, str]]
+_WHOLE = "run.acquisition_duration_ps"
+
+
+def _placed(config: ScenarioConfig, *rates, span: tuple[str, int] | None = None) -> _Elements:
+    """Arrivals at each of ``rates`` (key, Hz, what) and every detector's dark counts,
+    over ``span`` (the keys that set it, its length in ps; default the whole interval)."""
+    for name in _SECTION_CHANNEL:
+        if (d := getattr(config, name)) is not None:
+            rates += ((f"[detector.{name}] dark_rate_hz", d.dark_rate_hz, f"{name} dark counts"),)
+    keys, span_ps = span or (_WHOLE, config.acquisition_duration_ps)
+    return [(f"{k} * {keys}", math.ceil(hz * span_ps * 1e-12), what) for k, hz, what in rates]
+
+
+def _elements_pdc(config: ScenarioConfig, source: PdcSourceConfig) -> _Elements:
+    return _placed(config, ("source.pair_rate_hz", source.pair_rate_hz, "pairs"))
+
+
+def _elements_coherent(config: ScenarioConfig, source: CoherentSourceConfig) -> _Elements:
+    gates = math.ceil(config.acquisition_duration_ps * config.gate_rate_hz * 1e-12)
+    in_gates = (f"{_WHOLE} * run.gate_rate_hz * run.window_ps", gates * config.window_ps)
+    beams = ("source.mean_rate_hz", source.mean_rate_hz, "beam arrivals")
+    span = _beam_segments(config, in_gates)
+    return [(f"{_WHOLE} * run.gate_rate_hz", gates, "gates"), *_placed(config, beams, span=span)]
+
+
+def _elements_thermal(config: ScenarioConfig, source: ThermalSourceConfig) -> _Elements:
+    out = _elements_coherent(config, source)
+    if source.mode is ThermalMode.SHARED_SINGLE_MODE:
+        blocks = -(-config.acquisition_duration_ps // source.coherence_time_ps)
+        out.append((f"{_WHOLE} / source.coherence_time_ps", blocks, "coherence blocks"))
     return out
+
+
+def _elements_wave(config: ScenarioConfig, source: ClassicalWaveConfig) -> _Elements:
+    return _placed(config, ("source.herald_rate_hz", source.herald_rate_hz, "trials"))
+
+
+class _Kind(NamedTuple):
+    config: type
+    rate_field: str  # the source field a sweep multiplier scales
+    gating: Gating  # how its gates open
+    acquire: Callable[..., _AcqTotals]  # (config, source, seed of a stage, periodic gates)
+    predict: Callable[[ScenarioConfig, SourceConfig], float]
+    elements: Callable[[ScenarioConfig, SourceConfig], _Elements]
+
+
+# Every entry is a function of this module that looks the layer functions
+# (gen_*, detect, count_gates, ...) up as module globals when it runs, so
+# patching one of those names reaches every kind.
+_KINDS = {
+    SourceKind.PDC: _Kind(
+        PdcSourceConfig, "pair_rate_hz", Gating.TRIGGER,
+        _acquire_pdc, _predict_pdc, _elements_pdc,
+    ),
+    SourceKind.COHERENT: _Kind(
+        CoherentSourceConfig, "mean_rate_hz", Gating.GENERATOR,
+        _acquire_coherent, lambda config, source: 1.0, _elements_coherent,
+    ),
+    SourceKind.THERMAL: _Kind(
+        ThermalSourceConfig, "mean_rate_hz", Gating.GENERATOR,
+        _acquire_thermal, _predict_thermal, _elements_thermal,
+    ),
+    SourceKind.CLASSICAL_WAVE: _Kind(
+        ClassicalWaveConfig, "per_gate_intensity_mean", Gating.PER_GATE,
+        _acquire_wave, lambda config, source: expected_alpha_classical_wave(source),
+        _elements_wave,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,11 @@ jitter; then no event outside a gate can reach a count, and the result is
 exact up to the picosecond tick.  Every other case uses the whole interval
 (``gates=None``), for which no outside count is drawn.
 
-Each source config class also states the facts the scenario runner needs
-about its kind: ``kind``, the field a sweep multiplier scales
-(``rate_field``), and how its gates open (``gating``).
+Each source config class states its ``kind``.  The other facts the
+scenario runner needs about a kind (its config class, the field a sweep
+multiplier scales, how its gates open, and how one acquisition runs, what
+alpha it predicts and which arrays it builds) are one row of the table
+``_KINDS`` in ``coincsim.scenario``.
 """
 
 from __future__ import annotations
@@ -141,8 +143,6 @@ class PdcSourceConfig:
     """
 
     kind: ClassVar[SourceKind] = SourceKind.PDC
-    rate_field: ClassVar[str] = "pair_rate_hz"
-    gating: ClassVar[Gating] = Gating.TRIGGER
 
     pair_rate_hz: float
     pair_jitter_ps: float = 0.0
@@ -161,8 +161,6 @@ class CoherentSourceConfig:
     """Two independent Poisson beams of ``mean_rate_hz`` each."""
 
     kind: ClassVar[SourceKind] = SourceKind.COHERENT
-    rate_field: ClassVar[str] = "mean_rate_hz"
-    gating: ClassVar[Gating] = Gating.GENERATOR
 
     mean_rate_hz: float
 
@@ -188,8 +186,6 @@ class ThermalSourceConfig:
     """
 
     kind: ClassVar[SourceKind] = SourceKind.THERMAL
-    rate_field: ClassVar[str] = "mean_rate_hz"
-    gating: ClassVar[Gating] = Gating.GENERATOR
 
     mean_rate_hz: float
     mode: ThermalMode = ThermalMode.INDEPENDENT_ARMS
@@ -234,8 +230,6 @@ class ClassicalWaveConfig:
     """
 
     kind: ClassVar[SourceKind] = SourceKind.CLASSICAL_WAVE
-    rate_field: ClassVar[str] = "per_gate_intensity_mean"
-    gating: ClassVar[Gating] = Gating.PER_GATE
 
     herald_rate_hz: float
     per_gate_intensity_mean: float

@@ -13,7 +13,6 @@ from coincsim.estimators import (
     OracleParams,
     alpha_estimate,
     expected_alpha_classical_wave,
-    expected_alpha_independent,
     expected_alpha_pdc,
     expected_alpha_thermal_shared,
     sigma_separation,
@@ -211,9 +210,6 @@ class TestPdcOracle:
 
 
 class TestThermalOracle:
-    def test_independent_arms_is_exactly_one(self):
-        assert expected_alpha_independent() == 1.0
-
     @pytest.mark.parametrize("x", [0.01, 0.1, 0.3, 0.5, 0.9, 1.0])
     def test_closed_form_below_tau(self, x):
         # window shorter than one coherence block: alpha = 2 - x/3
@@ -284,4 +280,4 @@ class TestCrossChecks:
     def test_alpha_one_sits_between_pdc_and_thermal(self):
         pdc = expected_alpha_pdc(OracleParams(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4))
         th = expected_alpha_thermal_shared(window_ps=7000, coherence_time_ps=700_000)
-        assert pdc < expected_alpha_independent() < th
+        assert pdc < 1.0 < th

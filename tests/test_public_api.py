@@ -17,8 +17,14 @@ import pytest
 
 import coincsim
 from coincsim import cli, events, sources
-from coincsim.scenario import ScenarioConfig, run_scenario
-from coincsim.sources import PdcSourceConfig
+from coincsim.scenario import ScenarioConfig, SourceKind, run_scenario
+from coincsim.sources import (
+    ClassicalWaveConfig,
+    CoherentSourceConfig,
+    PdcSourceConfig,
+    ThermalMode,
+    ThermalSourceConfig,
+)
 from coincsim.timetags import write_timetag_file
 
 from stat_helpers import stream_of
@@ -87,3 +93,47 @@ def test_both_split_layers_are_reached(tmp_path, capsys):
     finally:
         tracer.uninstall()
     assert tracer.absent == []
+
+
+# One tiny acquisition per source kind, and the layers it must reach.  A kind
+# whose code held a traced function captured at import time would miss one.
+_TINY = dict(acquisitions=1, acquisition_duration_ps=10**8)
+_GATED = dict(_TINY, gate_rate_hz=1e6)
+_SHARED = dict(mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10**5)
+KIND_LAYERS = {
+    SourceKind.PDC: (
+        ScenarioConfig(source=PdcSourceConfig(pair_rate_hz=1e6), **_TINY),
+        ("sources.gen", "sources.split", "detectors.detect", "gating.build", "gating.count"),
+    ),
+    SourceKind.COHERENT: (
+        ScenarioConfig(source=CoherentSourceConfig(mean_rate_hz=1e8), **_GATED),
+        ("sources.gen", "detectors.detect", "gating.build", "gating.count"),
+    ),
+    SourceKind.THERMAL: (
+        ScenarioConfig(source=ThermalSourceConfig(mean_rate_hz=1e8, **_SHARED), **_GATED),
+        ("sources.gen", "detectors.detect", "gating.build", "gating.count"),
+    ),
+    SourceKind.CLASSICAL_WAVE: (
+        ScenarioConfig(
+            source=ClassicalWaveConfig(herald_rate_hz=1e6, per_gate_intensity_mean=0.05), **_TINY
+        ),
+        ("sources.gen",),
+    ),
+}
+
+
+def test_every_kind_has_its_layers():
+    assert set(KIND_LAYERS) == set(SourceKind)
+
+
+@pytest.mark.parametrize("kind", list(KIND_LAYERS), ids=lambda k: k.value)
+def test_every_kind_reaches_its_layers(kind):
+    config, layers = KIND_LAYERS[kind]
+    tracer = _load_layertrace().Tracer()
+    tracer.install()
+    try:
+        run_scenario(config)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    assert [layer for layer in layers if tracer.calls[layer] == 0] == []

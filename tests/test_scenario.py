@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,15 @@ PDC_MINIMAL = """
 [source]
 kind = pdc
 pair_rate_hz = 1e6
+"""
+
+COHERENT_1E10 = """
+[source]
+kind = coherent
+mean_rate_hz = 1e10
+
+[run]
+gate_rate_hz = 65000
 """
 
 COHERENT_SMALL = """
@@ -277,6 +287,44 @@ class TestParseConfig:
         assert "run.acquisition_duration_ps" in str(err.value)
         assert "1000000000000 gates" in str(err.value)
 
+    # Each of these asks one acquisition for 10**10 elements of one array.
+    TOO_MANY_ELEMENTS = {
+        "pairs": ("[source]\nkind = pdc\npair_rate_hz = 1e10\n", "source.pair_rate_hz"),
+        "dark_counts": (
+            "[source]\nkind = pdc\npair_rate_hz = 1e3\n[detector.d1]\ndark_rate_hz = 1e10\n",
+            "[detector.d1] dark_rate_hz",
+        ),
+        "whole_interval_beams": (
+            COHERENT_1E10 + "[detector.d1]\njitter_sigma_ps = 10\n",
+            "source.mean_rate_hz",
+        ),
+        "wave_trials": (
+            "[source]\nkind = classical_wave\nherald_rate_hz = 1e10\n"
+            "per_gate_intensity_mean = 0.05\n",
+            "source.herald_rate_hz",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "text, key", TOO_MANY_ELEMENTS.values(), ids=list(TOO_MANY_ELEMENTS)
+    )
+    def test_too_many_elements_rejected(self, text, key, tmp_path, capsys):
+        # refused when read, so neither simulate nor oracle allocates anything
+        with pytest.raises(ConfigError, match=re.escape(key)) as err:
+            parse_config(text)
+        assert "run.acquisition_duration_ps" in str(err.value)
+        assert "10000000000 " in str(err.value)
+        cfgfile = tmp_path / "large.cfg"
+        cfgfile.write_text(text)
+        assert main(["oracle", "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+
+    def test_gate_local_beams_within_bound_accepted(self):
+        # ideal detectors: the beams are placed in the 65000 gates of 7 ns only,
+        # 1e10 Hz * 65000 * 7000 ps = 4.55e6 arrivals per arm
+        cfg = parse_config(COHERENT_1E10)
+        assert cfg.source.mean_rate_hz == 1e10
+
     @pytest.mark.parametrize("label", ["run #3", "a ;b", " padded ", "tab\t", "\u2028x"])
     def test_label_a_config_file_would_alter_rejected(self, label):
         with pytest.raises(ConfigError, match="run.label"):
@@ -388,6 +436,8 @@ class TestOraclePerPoint:
     def test_coherent_is_one(self):
         cfg = parse_config(COHERENT_SMALL)
         assert oracle_per_point(cfg) == [1.0]
+        lamp = ScenarioConfig(source=ThermalSourceConfig(mean_rate_hz=1e6), gate_rate_hz=65_000)
+        assert oracle_per_point(lamp) == [1.0]
 
     def test_thermal_shared_uses_window_ratio(self):
         cfg = ScenarioConfig(

@@ -43,16 +43,30 @@ def test_reproduce_experiments_writes_results_csv(tmp_path):
 
 def test_bench_writes_record(tmp_path):
     proc = run_script(
-        "bench.py", "--label", "smoke", "--seeds", "1", "--seconds", "0.5",
+        "bench.py", "--base", "HEAD", "--label", "smoke", "--seeds", "1", "--seconds", "0.5",
         "--workload", "gated_coherent", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
     record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert record["label"] == "smoke"
-    assert record["provenance"]["nproc"] == os.cpu_count()
-    assert record["provenance"]["seeds"] == [1]
-    entry = record["workloads"]["gated_coherent"]
+    provenance = record["provenance"]
+    assert provenance["nproc"] == os.cpu_count()
+    assert provenance["seeds"] == [1]
+    assert provenance["base"] == "HEAD" and len(provenance["base_commit"]) == 40
     assert list(record["workloads"]) == ["gated_coherent"]
-    assert entry["failed"] == 0 and len(entry["digests"]) == 1
+    entry = record["workloads"]["gated_coherent"]
+    assert isinstance(entry["digests_match"], bool)
+    for name in ("base", "head"):
+        side = entry[name]
+        assert side["failed"] == 0 and len(side["digests"]) == 1
+        for metric in ("acq_per_s", "setup_s", "peak_rss_mb"):
+            assert side[metric]["median"] > 0 and side[metric]["iqr"] == 0
     for metric in ("acq_per_s", "setup_s", "peak_rss_mb"):
-        assert entry[metric]["median"] > 0 and entry[metric]["iqr"] == 0
+        pair = entry["pairs"][metric]
+        assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
+        assert pair["head_won"] in (0, 1)
+    # the base worktree is gone again
+    worktrees = subprocess.run(
+        ["git", "worktree", "list"], cwd=REPO_ROOT, capture_output=True, text=True
+    ).stdout
+    assert "coincsim-bench-" not in worktrees
