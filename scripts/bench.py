@@ -4,7 +4,7 @@
 Checks out ``--base REV`` as a detached worktree in a temporary directory
 and, for each seed 1..K and each workload, runs ``benchmark/run.py --trace 0``
 of both trees back to back, each tree's own harness on its own ``src/``.
-The side that goes first alternates from pair to pair, so slow drift of the
+Which side goes first alternates from seed to seed, so slow drift of the
 machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
 of ``BENCHMARK.json``, the head/base ratio of every pair with its median and
@@ -134,11 +134,11 @@ def main(argv: list[str] | None = None) -> int:
         git("worktree", "add", "--detach", str(base_tree), base_commit)
         trees = {"base": base_tree, "head": REPO_ROOT}
         # Seeds outer, workloads inner, so slow drift of the machine spreads
-        # over every workload instead of landing on one.
-        pairs = [(seed, workload) for seed in seeds for workload in workloads]
-        for k, (seed, workload) in enumerate(pairs):
-            order = ("base", "head") if k % 2 == 0 else ("head", "base")
-            for name in order:
+        # over every workload instead of landing on one; each workload's
+        # pairs alternate which side runs first.
+        for seed in seeds:
+            order = ("base", "head") if seed % 2 else ("head", "base")
+            for workload, name in ((w, n) for w in workloads for n in order):
                 report, result = run_once(trees[name], workload, seed, args.seconds)
                 runs[name][workload].append((report, result))
                 print(
