@@ -9,12 +9,15 @@ machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
 of ``BENCHMARK.json``, the head/base ratio of every pair with its median and
 the number of pairs the head won, the failed operations, and whether the two
-sides' digests match; its provenance names both commits.  A perf change
-quotes the median ratio and the wins from its record:
+sides' digests match; its provenance names both commits.  After the pairs,
+one ``--trace 1`` run per workload and side (seed 1) adds that side's
+per-layer metrics under ``layers``, so the record shows which layer moved.
+A perf change quotes the median ratio and the wins from its record:
 
     python3 scripts/bench.py --base HEAD~1 --label pr11 --seeds 5
 
-takes about 2 x 4 x 5 x 30 s on a 2-core VM at the default 20 s per run.
+takes about 2 x 4 x (5 + 1) x 30 s on a 2-core VM at the default 20 s per
+run.
 The worktree is removed when the script ends, also when a run fails.
 """
 
@@ -40,11 +43,13 @@ def git(*args: str, check: bool = True) -> str:
     return proc.stdout.strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced run of ``tree``'s benchmark: (report, result) from its last two lines."""
+def run_once(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> tuple[dict, dict]:
+    """One run of ``tree``'s benchmark: (report, result) from its last two lines."""
     cmd = [
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -72,8 +77,8 @@ def spread(values: list[float]) -> dict:
     }
 
 
-def side(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
-    """One side of one workload: each metric's spread, failed operations, digests."""
+def side(runs: list[tuple[dict, dict]], metrics: list[dict], layers: dict) -> dict:
+    """One side of one workload: each metric's spread, failed operations, digests, layers."""
     entry = {
         m["name"]: spread([result["metrics"][m["name"]]["value"] for _, result in runs])
         for m in metrics
@@ -81,6 +86,7 @@ def side(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     entry["attempted"] = sum(result["attempted"] for _, result in runs)
     entry["failed"] = sum(result["failed"] for _, result in runs)
     entry["digests"] = [report["digest"] for report, _ in runs]
+    entry["layers"] = layers
     return entry
 
 
@@ -128,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
 
     runs = {name: {w: [] for w in workloads} for name in ("base", "head")}
+    layers = {name: {} for name in ("base", "head")}
     scratch = Path(tempfile.mkdtemp(prefix="coincsim-bench-"))
     base_tree = scratch / "base"
     try:
@@ -146,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                     + ", ".join(f"{m} {v['value']:.4g}" for m, v in result["metrics"].items()),
                     file=sys.stderr,
                 )
+        for workload, name in ((w, n) for w in workloads for n in ("base", "head")):
+            _, result = run_once(trees[name], workload, seeds[0], args.seconds, trace=1)
+            layers[name][workload] = {m: v["value"] for m, v in result["metrics"].items()}
     finally:
         git("worktree", "remove", "--force", str(base_tree), check=False)
         shutil.rmtree(scratch, ignore_errors=True)
@@ -153,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
 
     record_workloads = {}
     for workload in workloads:
-        base = side(runs["base"][workload], metrics)
-        head = side(runs["head"][workload], metrics)
+        base = side(runs["base"][workload], metrics, layers["base"][workload])
+        head = side(runs["head"][workload], metrics, layers["head"][workload])
         record_workloads[workload] = {
             "base": base,
             "head": head,
@@ -175,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             "python": first["versions"]["python"],
             "numpy": first["versions"]["numpy"],
             "coincsim": first["versions"]["coincsim"],
-            "command": f"benchmark/run.py --seconds {args.seconds!r} --trace 0",
+            "command": f"benchmark/run.py --seconds {args.seconds!r} --trace 0, then --trace 1",
             "seeds": seeds,
         },
         "workloads": record_workloads,

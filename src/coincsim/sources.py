@@ -367,6 +367,47 @@ def project_idler_path(
 _GATE_CHUNK = 1 << 16
 
 
+def _mean_before(t: np.ndarray, rate: np.ndarray, at_edge: np.ndarray, tau: int) -> np.ndarray:
+    """Mean photon number in [0, t), for 0 <= t <= the interval's end."""
+    b = np.minimum(t // tau, len(rate) - 1)
+    mean = rate[b] * (t - b * tau)
+    mean += at_edge[b]
+    return mean
+
+
+def _gate_cum(
+    lo: np.ndarray, window: int, rate: np.ndarray, at_edge: np.ndarray, tau: int, duration_ps: int
+) -> np.ndarray:
+    """Running sum of the mean photon numbers of the gates opening at ``lo``.
+
+    A gate inside one block b has the mean ``rate[b] * window``.  A gate that
+    crosses a block edge, and the last gate (it may be clipped at
+    ``duration_ps``), take the difference of the cumulative means at its
+    close and its open.  The sum runs chunk by chunk, carried left to right,
+    so the chunk size changes no bit.
+    """
+    gate_cum = np.empty(len(lo))
+    carry = 0.0
+    for s in range(0, len(lo), _GATE_CHUNK):
+        chunk = lo[s : s + _GATE_CHUNK]
+        m = gate_cum[s : s + len(chunk)]
+        b = chunk // tau  # a floor division by a scalar is several times faster than divmod
+        np.take(rate, b, out=m)
+        m *= window
+        b *= tau
+        r = np.subtract(chunk, b, out=b)  # each gate's offset in its block
+        cross = r > tau - window
+        if s + len(chunk) == len(lo):
+            cross[-1] = True
+        e = chunk[cross]
+        close = np.minimum(e + window, duration_ps)
+        m[cross] = _mean_before(close, rate, at_edge, tau) - _mean_before(e, rate, at_edge, tau)
+        m[0] += carry
+        np.cumsum(m, out=m)
+        carry = m[-1]
+    return gate_cum
+
+
 def _blocked_rate_times(
     rngs: list[np.random.Generator],
     shares: tuple[float, ...],
@@ -379,13 +420,16 @@ def _blocked_rate_times(
 
     The photon rate (per ps) is ``rate[b]`` on block b = [b*tau, (b+1)*tau),
     the last block ending at ``duration_ps``, and arm k receives
-    ``shares[k]`` of it.  Inside the gates (default ``None``: the whole
-    interval) arm k draws Poisson(share * in-gate mean) arrivals and places
-    each by inverting the cumulative mean: a uniform on [0, in-gate mean)
-    picks a gate through the gates' cumulative means, and then a block and
-    an offset in it through the blocks' cumulative means, so a gate that
-    straddles block edges is cut there.  Outside the gates arm k draws only
-    a count, Poisson(share * (whole-interval mean - in-gate mean)).
+    ``shares[k]`` of it.  A gate's mean is ``rate[b] * window`` when it lies
+    inside block b, and otherwise the difference of the cumulative means at
+    its close and its open (``_gate_cum``).  Inside the gates (default
+    ``None``: the whole interval) arm k draws Poisson(share * in-gate mean)
+    arrivals and places each by inverting the cumulative mean: a uniform on
+    [0, in-gate mean) picks a gate through the gates' cumulative means, and
+    then a block and an offset in it through the blocks' cumulative means,
+    so a gate that straddles block edges is cut there.  Outside the gates
+    arm k draws only a count, Poisson(share * (whole-interval mean - in-gate
+    mean)).
     """
     lo, window = np.zeros(1, dtype=np.int64), duration_ps
     if gates is not None:
@@ -395,22 +439,7 @@ def _blocked_rate_times(
     at_edge *= tau
     at_edge[-1] -= rate[-1] * (len(rate) * tau - duration_ps)
 
-    def mean_before(t: np.ndarray) -> np.ndarray:
-        """Mean photon number in [0, t), for 0 <= t <= duration_ps."""
-        b = np.minimum(t // tau, len(rate) - 1)
-        mean = rate[b] * (t - b * tau)
-        mean += at_edge[b]
-        return mean
-
-    def close(opens: np.ndarray) -> np.ndarray:
-        """Gate closes, the last gate clipped at ``duration_ps``."""
-        return np.minimum(opens + window, duration_ps)
-
-    gate_cum = np.empty(len(lo))  # each gate's mean, then their running sum
-    for s in range(0, len(lo), _GATE_CHUNK):
-        chunk = lo[s : s + _GATE_CHUNK]
-        np.subtract(mean_before(close(chunk)), mean_before(chunk), out=gate_cum[s : s + len(chunk)])
-    np.cumsum(gate_cum, out=gate_cum)
+    gate_cum = _gate_cum(lo, window, rate, at_edge, tau, duration_ps)
     inside = float(gate_cum[-1]) if len(gate_cum) else 0.0
     outside = 0.0 if gates is None else max(float(at_edge[-1]) - inside, 0.0)
     placed = []
@@ -421,11 +450,13 @@ def _blocked_rate_times(
         x *= inside
         g = np.searchsorted(gate_cum[:-1], x, side="right")
         lo_g = lo[g]
-        y = x - np.where(g > 0, gate_cum[g - 1], 0.0) + mean_before(lo_g)  # mean before it
+        y = x - np.where(g > 0, gate_cum[g - 1], 0.0)
+        y += _mean_before(lo_g, rate, at_edge, tau)  # mean before it
         b = np.searchsorted(at_edge[1:-1], y, side="right")
         offset = ((y - at_edge[b]) / rate[b]).astype(np.int64)
         t = b * tau + np.minimum(offset, tau - 1)
-        np.clip(t, lo_g, close(lo_g) - 1, out=t)  # rounding at the block and gate edges
+        # rounding at the block and gate edges
+        np.clip(t, lo_g, np.minimum(lo_g + window, duration_ps) - 1, out=t)
         n_out = int(rng.poisson(share * outside)) if share * outside > 0 else 0
         placed.append((t, n_out))
     return placed

@@ -284,6 +284,37 @@ def test_chunk_size_changes_no_bit(case, monkeypatch):
     assert small.unplaced_by_key == default.unplaced_by_key
 
 
+@pytest.mark.parametrize("chunk", [7, sources._GATE_CHUNK])
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_gate_means_match_block_overlaps(case, chunk, monkeypatch):
+    """Each gate's mean is the sum over blocks of rate x overlap, summed in Python."""
+    tau, gates = CHUNK_CASES[case]
+    lo, window = np.zeros(1, np.int64), CHUNK_US
+    if gates is not None:
+        lo, window = gates.opens, gates.window_ps
+    n_blocks = -(-CHUNK_US // tau)
+    rate = np.random.default_rng(11).standard_exponential(n_blocks) * 2e-4
+    edges = np.minimum(np.arange(n_blocks + 1) * tau, CHUNK_US)
+    at_edge = np.concatenate([[0.0], np.cumsum(rate * np.diff(edges))])
+    monkeypatch.setattr(sources, "_GATE_CHUNK", chunk)
+    gate_cum = sources._gate_cum(lo, window, rate, at_edge, tau, CHUNK_US)
+    means = np.diff(gate_cum, prepend=0.0)
+
+    expected, inside = [], []
+    for o in lo.tolist():
+        c = min(o + window, CHUNK_US)
+        first, last = o // tau, (c - 1) // tau
+        overlaps = [min(c, edges[k + 1]) - max(o, edges[k]) for k in range(first, last + 1)]
+        expected.append(sum(float(rate[first + i]) * n for i, n in enumerate(overlaps)))
+        inside.append(first == last and c == o + window)
+    expected, inside = np.array(expected), np.array(inside)
+    inside[-1] = False  # the last gate always takes the difference of cumulative means
+    assert inside.any() == (case in ("inside_and_straddling", "clipped_last_gate"))
+    np.testing.assert_allclose(means[inside], expected[inside], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(means, expected, rtol=0, atol=1e-9 * expected.sum())
+    assert gate_cum[-1] == pytest.approx(expected.sum(), rel=1e-12)
+
+
 def test_shared_mode_peak_memory():
     """One shared-mode call on thermal_bunched_short's ~10^6 gates stays under 40 MB.
 

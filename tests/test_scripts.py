@@ -61,6 +61,9 @@ def test_bench_writes_record(tmp_path):
         assert side["failed"] == 0 and len(side["digests"]) == 1
         for metric in ("acq_per_s", "setup_s", "peak_rss_mb"):
             assert side[metric]["median"] > 0 and side[metric]["iqr"] == 0
+        # one traced run per side: the per-layer split
+        assert side["layers"]["sources.gen_ms"] > 0
+        assert side["layers"]["fail_frac"] == 0
     for metric in ("acq_per_s", "setup_s", "peak_rss_mb"):
         pair = entry["pairs"][metric]
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
