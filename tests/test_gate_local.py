@@ -303,10 +303,9 @@ def test_gate_means_match_block_overlaps(case, chunk, monkeypatch):
     expected, inside = [], []
     for o in lo.tolist():
         c = min(o + window, CHUNK_US)
-        first, last = o // tau, (c - 1) // tau
-        overlaps = [min(c, edges[k + 1]) - max(o, edges[k]) for k in range(first, last + 1)]
-        expected.append(sum(float(rate[first + i]) * n for i, n in enumerate(overlaps)))
-        inside.append(first == last and c == o + window)
+        blocks = range(o // tau, (c - 1) // tau + 1)
+        expected.append(sum(rate[k] * (min(c, edges[k + 1]) - max(o, edges[k])) for k in blocks))
+        inside.append(len(blocks) == 1 and c == o + window)
     expected, inside = np.array(expected), np.array(inside)
     inside[-1] = False  # the last gate always takes the difference of cumulative means
     assert inside.any() == (case in ("inside_and_straddling", "clipped_last_gate"))
