@@ -10,23 +10,29 @@ workload, each side's median, quartiles and runs of every end-to-end metric
 of ``BENCHMARK.json``, the head/base ratio of every pair with its median and
 the number of pairs the head won, the failed operations, and whether the two
 sides' digests match; its provenance names both commits.  After the pairs,
-one ``--trace 1`` run per workload and side (seed 1) adds that side's
-per-layer metrics under ``layers``, so the record shows which layer moved.
+one ``--trace 1`` run per workload and side (seed 1, the first side
+alternating from workload to workload) adds that side's per-layer metrics
+under ``layers``, so the record shows which layer moved; one run per side
+resolves only moves of about 20% or more.
 A perf change quotes the median ratio and the wins from its record:
 
     python3 scripts/bench.py --base HEAD~1 --label pr11 --seeds 5
 
 takes about 2 x 4 x (5 + 1) x 30 s on a 2-core VM at the default 20 s per
 run.
-The worktree is removed when the script ends, also when a run fails.
+The worktree is removed when the script ends, also when a run fails or the
+script is stopped by SIGTERM; each run's harness and its workers are then
+killed with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,13 +57,25 @@ def run_once(
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    # Its own session: the harness and the workers it starts are one process
+    # group, stopped together if the record is.
+    proc = subprocess.Popen(
+        cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    lines = stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
     if proc.returncode not in (0, 1) or len(lines) < 2:
         raise SystemExit(
             f"{tree}/benchmark/run.py failed on {workload} seed {seed} "
-            f"(exit {proc.returncode}): {proc.stderr.strip()}"
+            f"(exit {proc.returncode}): {stderr.strip()}"
         )
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
@@ -106,6 +124,10 @@ def paired(base: dict, head: dict, metrics: list[dict]) -> dict:
     return out
 
 
+def _stop(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)  # so that the worktree is removed on the way out
+
+
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
@@ -135,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = {name: {w: [] for w in workloads} for name in ("base", "head")}
     layers = {name: {} for name in ("base", "head")}
+    signal.signal(signal.SIGTERM, _stop)
     scratch = Path(tempfile.mkdtemp(prefix="coincsim-bench-"))
     base_tree = scratch / "base"
     try:
@@ -153,9 +176,10 @@ def main(argv: list[str] | None = None) -> int:
                     + ", ".join(f"{m} {v['value']:.4g}" for m, v in result["metrics"].items()),
                     file=sys.stderr,
                 )
-        for workload, name in ((w, n) for w in workloads for n in ("base", "head")):
-            _, result = run_once(trees[name], workload, seeds[0], args.seconds, trace=1)
-            layers[name][workload] = {m: v["value"] for m, v in result["metrics"].items()}
+        for i, workload in enumerate(workloads):
+            for name in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                _, result = run_once(trees[name], workload, seeds[0], args.seconds, trace=1)
+                layers[name][workload] = {m: v["value"] for m, v in result["metrics"].items()}
     finally:
         git("worktree", "remove", "--force", str(base_tree), check=False)
         shutil.rmtree(scratch, ignore_errors=True)

@@ -78,7 +78,6 @@ from .sources import (
     Gating,
     PdcSourceConfig,
     SourceKind,
-    ThermalMode,
     ThermalSourceConfig,
     gen_classical_wave_gates,
     gen_pdc_pairs,
@@ -289,8 +288,9 @@ class _Section:
             expected = "an integer" if type_ is int else "a number"
             raise ConfigError(f"[{self.name}] {key}: expected {expected}, got {v!r}") from None
 
-    def finish(self) -> None:
-        unknown = sorted(set(self._map) - self._seen)
+    def finish(self, names) -> None:
+        """Reject every key that is neither read already nor one of ``names``."""
+        unknown = sorted(set(self._map) - self._seen - set(names))
         if unknown:
             raise ConfigError(f"[{self.name}] has unknown key '{unknown[0]}'")
 
@@ -315,9 +315,8 @@ def _read_fields(sec: _Section, cls, names, defaults: dict) -> dict:
     its value from ``defaults`` and is required when that is ``MISSING``.
     """
     types = get_type_hints(cls)
-    values = {name: sec.get(name, types[name], defaults[name]) for name in names}
-    sec.finish()
-    return values
+    sec.finish(names)  # an unknown key is named before a missing one
+    return {name: sec.get(name, types[name], defaults[name]) for name in names}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -611,8 +610,6 @@ def _predict_pdc(config: ScenarioConfig, source: PdcSourceConfig) -> float:
 
 
 def _predict_thermal(config: ScenarioConfig, source: ThermalSourceConfig) -> float:
-    if source.mode is ThermalMode.INDEPENDENT_ARMS:
-        return 1.0  # independent beams gate-count independently, as coherent ones do
     return expected_alpha_thermal_shared(config.window_ps, source.coherence_time_ps)
 
 
@@ -647,11 +644,9 @@ def _elements_coherent(config: ScenarioConfig, source: CoherentSourceConfig) -> 
 
 
 def _elements_thermal(config: ScenarioConfig, source: ThermalSourceConfig) -> _Elements:
-    out = _elements_coherent(config, source)
-    if source.mode is ThermalMode.SHARED_SINGLE_MODE:
-        blocks = -(-config.acquisition_duration_ps // source.coherence_time_ps)
-        out.append((f"{_WHOLE} / source.coherence_time_ps", blocks, "coherence blocks"))
-    return out
+    blocks = -(-config.acquisition_duration_ps // source.coherence_time_ps)
+    blocks_key = f"{_WHOLE} / source.coherence_time_ps"
+    return [*_elements_coherent(config, source), (blocks_key, blocks, "coherence blocks")]
 
 
 def _elements_wave(config: ScenarioConfig, source: ClassicalWaveConfig) -> _Elements:

@@ -10,12 +10,12 @@ Four source models are implemented:
 * ``coherent``: two independent Poisson beams, one per splitter output.  The
   intensity carries no memory, so gated counting on the two outputs factorizes
   exactly.
-* ``thermal``: either two independent arms (same second-order statistics as
-  coherent under gated counting) or a single chaotic mode shared by both
-  splitter outputs.  The shared mode is modelled as a doubly stochastic
-  Poisson process whose intensity is resampled from an exponential law every
-  coherence time, which bunches both outputs together and pushes the measured
-  correlation above the factorized value.
+* ``thermal``: a single chaotic mode shared by both splitter outputs,
+  modelled as a doubly stochastic Poisson process whose intensity is
+  resampled from an exponential law every coherence time.  The common
+  intensity bunches both outputs together and pushes the measured
+  correlation above the factorized value.  A lamp whose two outputs see
+  unrelated light is two independent Poisson beams, i.e. ``coherent``.
 * ``classical_wave``: a semiclassical per-gate intensity model in which each
   gate carries an intensity draw I and the two detectors fire independently
   with probabilities q*I and (1-q)*I.  For any intensity distribution this
@@ -93,7 +93,6 @@ __all__ = [
     "IntensityLaw",
     "PdcSourceConfig",
     "SourceKind",
-    "ThermalMode",
     "ThermalSourceConfig",
     "gen_classical_wave_gates",
     "gen_pdc_pairs",
@@ -169,46 +168,28 @@ class CoherentSourceConfig:
         _require(np.isfinite(self.mean_rate_hz), "source.mean_rate_hz must be finite")
 
 
-class ThermalMode(Enum):
-    INDEPENDENT_ARMS = "independent_arms"
-    SHARED_SINGLE_MODE = "shared_single_mode"
-
-
 @dataclass(frozen=True)
 class ThermalSourceConfig:
-    """Thermal light on two arms.
+    """A single chaotic mode shared by the two arms.
 
-    In ``INDEPENDENT_ARMS`` mode each arm is an unrelated Poisson process of
-    ``mean_rate_hz`` (per arm).  In ``SHARED_SINGLE_MODE`` a single chaotic
-    mode of total rate ``mean_rate_hz`` is divided between the arms by
+    The mode's total rate ``mean_rate_hz`` is divided between the arms by
     ``splitting_ratio``, and its instantaneous intensity is redrawn from an
-    exponential distribution every ``coherence_time_ps``.
+    exponential distribution every ``coherence_time_ps``.  Arms that see
+    unrelated light are two independent Poisson beams:
+    :class:`CoherentSourceConfig`.
     """
 
     kind: ClassVar[SourceKind] = SourceKind.THERMAL
 
     mean_rate_hz: float
-    mode: ThermalMode = ThermalMode.INDEPENDENT_ARMS
-    coherence_time_ps: int = 0
+    coherence_time_ps: int
     splitting_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         _require(self.mean_rate_hz >= 0, "source.mean_rate_hz must be >= 0")
         _require(np.isfinite(self.mean_rate_hz), "source.mean_rate_hz must be finite")
-        if self.mode is ThermalMode.SHARED_SINGLE_MODE:
-            _require(
-                0.0 <= self.splitting_ratio <= 1.0,
-                "source.splitting_ratio must be in [0, 1]",
-            )
-            _require(
-                self.coherence_time_ps > 0,
-                "source.coherence_time_ps must be > 0 for shared_single_mode",
-            )
-        else:
-            _require(
-                self.splitting_ratio == 0.5,
-                "source.splitting_ratio only applies to shared_single_mode",
-            )
+        _require(self.coherence_time_ps > 0, "source.coherence_time_ps must be > 0")
+        _require(0.0 <= self.splitting_ratio <= 1.0, "source.splitting_ratio must be in [0, 1]")
 
 
 class IntensityLaw(Enum):
@@ -465,32 +446,25 @@ def _blocked_rate_times(
 def gen_thermal_arrivals(
     config: ThermalSourceConfig, duration_ps: int, seed: int, gates: GateList | None = None
 ) -> ArrivalStream:
-    """Thermal arrivals on the arms BEAM1 and BEAM2, placed inside ``gates``.
+    """Shared-mode thermal arrivals on the arms BEAM1 and BEAM2, placed inside ``gates``.
 
-    INDEPENDENT_ARMS draws two unrelated Poisson processes.  In
-    SHARED_SINGLE_MODE the interval is tiled with blocks of length
-    ``coherence_time_ps`` (last block truncated); one exponential intensity
-    draw per block scales the rate of *both* arms, and conditional on the
-    intensity profile the two arms are independent Poisson processes.  The
-    common intensity is what correlates the arms.
-
-    Either way the arrivals outside the gates (default ``None``: the whole
-    interval) are only counted, per arm, in ``unplaced_by_key``.
+    The interval is tiled with blocks of length ``coherence_time_ps`` (last
+    block truncated); one exponential intensity draw per block scales the
+    rate of *both* arms, and conditional on the intensity profile the two
+    arms are independent Poisson processes.  The common intensity is what
+    correlates the arms.  The arrivals outside the gates (default ``None``:
+    the whole interval) are only counted, per arm, in ``unplaced_by_key``.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
     rngs = [np.random.default_rng(derive_seed(seed, f"beam{k}")) for k in (1, 2)]
-    if config.mode is ThermalMode.INDEPENDENT_ARMS:
-        # Factorized case: each arm is its own Poisson process at the per-arm rate.
-        placed = [_poisson_times(rng, config.mean_rate_hz, duration_ps, gates) for rng in rngs]
-    else:
-        tau = int(config.coherence_time_ps)
-        n_blocks = -(-duration_ps // tau)  # ceil division
-        int_rng = np.random.default_rng(derive_seed(seed, "intensity"))
-        rate = int_rng.standard_exponential(n_blocks)  # mean 1
-        rate *= config.mean_rate_hz * 1e-12
-        q = config.splitting_ratio
-        placed = _blocked_rate_times(rngs, (q, 1.0 - q), rate, tau, duration_ps, gates)
+    tau = int(config.coherence_time_ps)
+    n_blocks = -(-duration_ps // tau)  # ceil division
+    int_rng = np.random.default_rng(derive_seed(seed, "intensity"))
+    rate = int_rng.standard_exponential(n_blocks)  # mean 1
+    rate *= config.mean_rate_hz * 1e-12
+    q = config.splitting_ratio
+    placed = _blocked_rate_times(rngs, (q, 1.0 - q), rate, tau, duration_ps, gates)
     (t1, out1), (t2, out2) = placed
     times = {Arm.BEAM1: t1, Arm.BEAM2: t2}
     return ArrivalStream(duration_ps, times, gates, {Arm.BEAM1: out1, Arm.BEAM2: out2})

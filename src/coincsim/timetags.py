@@ -107,9 +107,10 @@ def _parse_csv(text: str, duration_ps: int | None) -> EventStream:
             raise DataFormatError(
                 f"line {lineno}: unknown channel {name!r} (expected T, D1, D2 or G)"
             )
+        digits = t_text.removeprefix("-")  # int() alone takes '+', '_' and non-ASCII digits too
         try:
-            t = int(t_text)
-        except ValueError:
+            t = int(t_text) if digits.isascii() and digits.isdigit() else None
+        except ValueError:  # more digits than int() converts
             t = None
         if t is None or not -(2**63) <= t < 2**63:
             raise DataFormatError(f"line {lineno}: bad timestamp {t_text!r}")

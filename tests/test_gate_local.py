@@ -22,7 +22,6 @@ from coincsim.gating import GateList, count_gates, make_gates_periodic
 from coincsim.scenario import _beam_segments, parse_config
 from coincsim.sources import (
     Arm,
-    ThermalMode,
     ThermalSourceConfig,
     _blocked_rate_times,
     _poisson_times,
@@ -131,23 +130,12 @@ class TestGateLocalArrivals:
         assert in_gates(local.times, self.gates).all()
         assert len(local) + local.unplaced == len(plain)
 
-    def test_independent_thermal_arms_are_the_thermal_substreams(self):
-        # independent thermal arms are two Poisson beams drawn from the
-        # substreams beam1 and beam2
-        cfg = ThermalSourceConfig(mean_rate_hz=2e6, mode=ThermalMode.INDEPENDENT_ARMS)
-        both = gen_thermal_arrivals(cfg, MS, 99)
-        for arm, label in ((Arm.BEAM1, "beam1"), (Arm.BEAM2, "beam2")):
-            beam = gen_poisson_arrivals(2e6, MS, arm, derive_seed(99, label))
-            assert beam == both.select_arm(arm)
-
     def test_each_arm_keeps_its_unplaced_count(self):
-        cfg = ThermalSourceConfig(mean_rate_hz=2e6, mode=ThermalMode.INDEPENDENT_ARMS)
+        cfg = ThermalSourceConfig(mean_rate_hz=2e6, coherence_time_ps=10_000)
         both = gen_thermal_arrivals(cfg, MS, 99, self.gates)
-        beams = []
-        for arm, label in ((Arm.BEAM1, "beam1"), (Arm.BEAM2, "beam2")):
-            beams.append(gen_poisson_arrivals(2e6, MS, arm, derive_seed(99, label), self.gates))
-            assert beams[-1] == both.select_arm(arm)
-        assert both.unplaced == sum(b.unplaced for b in beams) > 0
+        unplaced = [both.select_arm(arm).unplaced for arm in (Arm.BEAM1, Arm.BEAM2)]
+        assert unplaced == [both.unplaced_by_key[arm] for arm in (Arm.BEAM1, Arm.BEAM2)]
+        assert both.unplaced == sum(unplaced) > 0
 
 
 class TestSegmentChoice:
@@ -170,7 +158,7 @@ acquisition_duration_ps = 1000000000
 
     def test_ideal_detectors_use_the_gates(self):
         assert self.choose() is self.gates
-        thermal = ThermalSourceConfig(mean_rate_hz=2e6)
+        thermal = ThermalSourceConfig(mean_rate_hz=2e6, coherence_time_ps=10_000)
         assert self.choose(source=thermal) is self.gates
 
     @pytest.mark.parametrize("kwargs", [{"dead_time_ps": 10}, {"jitter_sigma_ps": 5.0}])
@@ -184,9 +172,7 @@ acquisition_duration_ps = 1000000000
         ids=["ideal", "dead_time", "jitter"],
     )
     def test_shared_mode_uses_the_gates(self, kwargs, expected):
-        shared = ThermalSourceConfig(
-            mean_rate_hz=2e6, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10_000
-        )
+        shared = ThermalSourceConfig(mean_rate_hz=2e6, coherence_time_ps=10_000)
         chosen = self.choose(source=shared, d1=DetectorConfig(Channel.D1, **kwargs))
         assert chosen is (self.gates if expected == "gates" else None)
 
@@ -273,9 +259,7 @@ CHUNK_CASES = {
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_chunk_size_changes_no_bit(case, monkeypatch):
     tau, gates = CHUNK_CASES[case]
-    cfg = ThermalSourceConfig(
-        mean_rate_hz=2e8, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=tau
-    )
+    cfg = ThermalSourceConfig(mean_rate_hz=2e8, coherence_time_ps=tau)
     default = gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
     monkeypatch.setattr(sources, "_GATE_CHUNK", 7)
     small = gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
@@ -419,9 +403,7 @@ SHARED_TAU_PS = {
 
 
 def shared_beams(tau_ps, beam_gates):
-    cfg = ThermalSourceConfig(
-        mean_rate_hz=RATE_HZ, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=tau_ps
-    )
+    cfg = ThermalSourceConfig(mean_rate_hz=RATE_HZ, coherence_time_ps=tau_ps)
 
     def beams(label, s):
         both = gen_thermal_arrivals(cfg, SHARED_MS, derive_seed(label, s, "source"), beam_gates)

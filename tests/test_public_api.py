@@ -22,7 +22,6 @@ from coincsim.sources import (
     ClassicalWaveConfig,
     CoherentSourceConfig,
     PdcSourceConfig,
-    ThermalMode,
     ThermalSourceConfig,
 )
 from coincsim.timetags import write_timetag_file
@@ -99,7 +98,7 @@ def test_both_split_layers_are_reached(tmp_path, capsys):
 # whose code held a traced function captured at import time would miss one.
 _TINY = dict(acquisitions=1, acquisition_duration_ps=10**8)
 _GATED = dict(_TINY, gate_rate_hz=1e6)
-_SHARED = dict(mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10**5)
+_SHARED = dict(coherence_time_ps=10**5)
 KIND_LAYERS = {
     SourceKind.PDC: (
         ScenarioConfig(source=PdcSourceConfig(pair_rate_hz=1e6), **_TINY),

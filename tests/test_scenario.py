@@ -31,14 +31,14 @@ from coincsim.sources import (
     CoherentSourceConfig,
     IntensityLaw,
     PdcSourceConfig,
-    ThermalMode,
     ThermalSourceConfig,
 )
 from coincsim.timetags import write_timetag_file
 
 from stat_helpers import stream_of
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED_CONFIGS = sorted(CONFIGS.glob("*.cfg"))
 
 PDC_MINIMAL = """
 [source]
@@ -96,13 +96,7 @@ class TestParseConfig:
         sources = [
             PdcSourceConfig(pair_rate_hz=5e3, pair_jitter_ps=120.0),
             CoherentSourceConfig(mean_rate_hz=2.9e6),
-            ThermalSourceConfig(mean_rate_hz=1e6, mode=ThermalMode.INDEPENDENT_ARMS),
-            ThermalSourceConfig(
-                mean_rate_hz=1e6,
-                mode=ThermalMode.SHARED_SINGLE_MODE,
-                coherence_time_ps=700_000,
-                splitting_ratio=0.4,
-            ),
+            ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=700_000, splitting_ratio=0.4),
             ClassicalWaveConfig(
                 herald_rate_hz=65_000.0,
                 per_gate_intensity_mean=0.05,
@@ -268,12 +262,36 @@ class TestParseConfig:
     def test_tiny_coherence_time_rejected(self):
         # 10**12 coherence blocks per acquisition: refused before any is drawn
         text = (
-            "[source]\nkind = thermal\nmean_rate_hz = 1e6\nmode = shared_single_mode\n"
-            "coherence_time_ps = 1\n[run]\ngate_rate_hz = 65000\n"
+            "[source]\nkind = thermal\nmean_rate_hz = 1e6\ncoherence_time_ps = 1\n"
+            "[run]\ngate_rate_hz = 65000\n"
         )
         with pytest.raises(ConfigError, match="source.coherence_time_ps") as err:
             parse_config(text)
         assert "run.acquisition_duration_ps" in str(err.value)
+
+    # A thermal source is one shared mode; light whose arms see unrelated
+    # photons is kind = coherent.  Neither old form is read as something else.
+    OLD_THERMAL = {
+        "independent_arms": (
+            "[source]\nkind = thermal\nmean_rate_hz = 1e6\nmode = independent_arms\n",
+            "[source] has unknown key 'mode'",
+        ),
+        "no_coherence_time": (
+            "[source]\nkind = thermal\nmean_rate_hz = 1e6\n",
+            "[source] is missing required key 'coherence_time_ps'",
+        ),
+    }
+
+    @pytest.mark.parametrize("source, message", OLD_THERMAL.values(), ids=list(OLD_THERMAL))
+    def test_thermal_needs_one_shared_mode(self, source, message, tmp_path, capsys):
+        text = source + "[run]\ngate_rate_hz = 65000\n"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        cfgfile = tmp_path / "thermal.cfg"
+        cfgfile.write_text(text)
+        assert main(["oracle", "--config", str(cfgfile)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
     def test_too_many_gates_rejected(self):
         # 10**12 periodic gates per acquisition: refused before any is built
@@ -436,16 +454,14 @@ class TestOraclePerPoint:
     def test_coherent_is_one(self):
         cfg = parse_config(COHERENT_SMALL)
         assert oracle_per_point(cfg) == [1.0]
-        lamp = ScenarioConfig(source=ThermalSourceConfig(mean_rate_hz=1e6), gate_rate_hz=65_000)
-        assert oracle_per_point(lamp) == [1.0]
+        # the factorized thermal lamp is two independent Poisson beams
+        lamp = parse_config((CONFIGS / "thermal_lamp.cfg").read_text())
+        assert lamp.kind is SourceKind.COHERENT
+        assert oracle_per_point(lamp) == [1.0] * 5
 
     def test_thermal_shared_uses_window_ratio(self):
         cfg = ScenarioConfig(
-            source=ThermalSourceConfig(
-                mean_rate_hz=1e6,
-                mode=ThermalMode.SHARED_SINGLE_MODE,
-                coherence_time_ps=700_000,
-            ),
+            source=ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=700_000),
             window_ps=7000,
             gate_rate_hz=65_000,
         )

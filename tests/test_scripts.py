@@ -2,25 +2,58 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def script_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_script(name, *args):
     return subprocess.run(
         [sys.executable, str(REPO_ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=script_env(),
         timeout=300,
     )
+
+
+def bench_worktrees():
+    """The bench's base worktrees that git still lists."""
+    out = subprocess.run(
+        ["git", "worktree", "list", "--porcelain"], cwd=REPO_ROOT, capture_output=True, text=True
+    ).stdout
+    return [
+        line.split(" ", 1)[1]
+        for line in out.splitlines()
+        if line.startswith("worktree ") and "coincsim-bench-" in line
+    ]
+
+
+def processes_running(path):
+    """Pids of the live processes whose command line names ``path``."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:  # not a process, or gone meanwhile
+            continue
+        if entry.name.isdigit() and path.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
 
 
 def test_rate_sweep_prints_csv():
@@ -69,7 +102,49 @@ def test_bench_writes_record(tmp_path):
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
         assert pair["head_won"] in (0, 1)
     # the base worktree is gone again
-    worktrees = subprocess.run(
-        ["git", "worktree", "list"], cwd=REPO_ROOT, capture_output=True, text=True
-    ).stdout
-    assert "coincsim-bench-" not in worktrees
+    assert bench_worktrees() == []
+
+
+def wait_for(condition, proc, seconds=120):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert proc.poll() is None, proc.communicate()[1]
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+
+
+@pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="lists processes in /proc")
+def test_bench_stopped_by_sigterm_cleans_up(tmp_path):
+    proc = subprocess.Popen(
+        [
+            sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--base", "HEAD",
+            "--label", "stopped", "--seeds", "1", "--seconds", "0.5",
+            "--workload", "gated_coherent", "--out-dir", str(tmp_path),
+        ],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=script_env(),
+    )
+    base, started = None, []
+    try:
+        wait_for(bench_worktrees, proc)
+        (base,) = bench_worktrees()
+        # stop it while the base tree's harness runs a worker (seed 1 runs base first)
+        wait_for(lambda: processes_running(f"{base}/benchmark/worker.py"), proc)
+        started = processes_running(base)
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=60)
+        deadline = time.monotonic() + 10
+        while processes_running(base) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = processes_running(base) if base else []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+        for pid in processes_running(base) if base else []:
+            os.kill(pid, signal.SIGKILL)
+    assert proc.returncode == 128 + signal.SIGTERM
+    assert len(started) >= 2  # benchmark/run.py and its worker
+    assert left == [], "a benchmark process outlived the record"
+    assert bench_worktrees() == []
+    assert not Path(base).exists()
+    assert not (tmp_path / "BENCH_stopped.json").exists()

@@ -13,7 +13,6 @@ from coincsim.sources import (
     CoherentSourceConfig,
     IntensityLaw,
     PdcSourceConfig,
-    ThermalMode,
     ThermalSourceConfig,
     gen_classical_wave_gates,
     gen_pdc_pairs,
@@ -179,35 +178,12 @@ class TestProjectIdlerPath:
 
 class TestThermalArrivals:
     def test_zero_rate_empty(self):
-        cfg = ThermalSourceConfig(mean_rate_hz=0.0)
+        cfg = ThermalSourceConfig(mean_rate_hz=0.0, coherence_time_ps=10**5)
         assert len(gen_thermal_arrivals(cfg, MS, seed=1)) == 0
-
-    def test_independent_arms_rates_are_per_arm(self):
-        cfg = ThermalSourceConfig(mean_rate_hz=2e6)
-        counts = {Arm.BEAM1: [], Arm.BEAM2: []}
-        for s in range(60):
-            out = gen_thermal_arrivals(cfg, MS, seed=s)
-            for arm in counts:
-                counts[arm].append(len(out.select_arm(arm)))
-        for arm, c in counts.items():
-            # each arm is Poisson(2000) per ms
-            assert abs(np.mean(c) - 2000) < 4 * np.sqrt(2000 / 60)
-
-    def test_independent_arms_cross_correlation_zero(self):
-        # count both arms in coarse bins; arm-1/arm-2 bin counts should be
-        # uncorrelated, unlike the shared-mode case below
-        cfg = ThermalSourceConfig(mean_rate_hz=2e6)
-        out = gen_thermal_arrivals(cfg, 100 * MS, seed=42)
-        edges = np.arange(0, 100 * MS + 1, MS // 10)
-        c1 = np.histogram(out.select_arm(Arm.BEAM1).times, bins=edges)[0]
-        c2 = np.histogram(out.select_arm(Arm.BEAM2).times, bins=edges)[0]
-        r = np.corrcoef(c1, c2)[0, 1]
-        assert abs(r) < 3 / np.sqrt(len(c1))
 
     def test_shared_mode_arms_are_positively_correlated(self):
         cfg = ThermalSourceConfig(
             mean_rate_hz=4e6,
-            mode=ThermalMode.SHARED_SINGLE_MODE,
             coherence_time_ps=MS // 10,
         )
         out = gen_thermal_arrivals(cfg, 100 * MS, seed=42)
@@ -223,7 +199,6 @@ class TestThermalArrivals:
         tau = 10**6
         cfg = ThermalSourceConfig(
             mean_rate_hz=1e6,
-            mode=ThermalMode.SHARED_SINGLE_MODE,
             coherence_time_ps=tau,
             splitting_ratio=0.5,
         )
@@ -234,9 +209,7 @@ class TestThermalArrivals:
         assert 1.6 < fano < 2.4
 
     def test_shared_mode_total_rate(self):
-        cfg = ThermalSourceConfig(
-            mean_rate_hz=1e6, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10**5
-        )
+        cfg = ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=10**5)
         counts = [len(gen_thermal_arrivals(cfg, MS, seed=s)) for s in range(100)]
         # variance per draw = mu + sum(block_mean^2) = 1000 + 10^4*(0.1)^2 = 1100
         assert abs(np.mean(counts) - 1000) < 4 * np.sqrt(1100 / 100)
@@ -244,7 +217,6 @@ class TestThermalArrivals:
     def test_shared_mode_split_ratio(self):
         cfg = ThermalSourceConfig(
             mean_rate_hz=2e6,
-            mode=ThermalMode.SHARED_SINGLE_MODE,
             coherence_time_ps=10**5,
             splitting_ratio=0.25,
         )
@@ -255,41 +227,30 @@ class TestThermalArrivals:
     def test_streams_valid(self):
         # gates of 300 ns every 1 us straddle the 100 ns coherence blocks
         gates = make_gates_periodic(1e6, MS, 300_000)
-        for cfg in (
-            ThermalSourceConfig(mean_rate_hz=1e6),
-            ThermalSourceConfig(
-                mean_rate_hz=1e6, mode=ThermalMode.SHARED_SINGLE_MODE, coherence_time_ps=10**5
-            ),
-        ):
-            for where in (None, gates):
-                out = gen_thermal_arrivals(cfg, MS, seed=2, gates=where)
-                assert list(out.times_by_key) == [Arm.BEAM1, Arm.BEAM2]
-                assert_canonical(out)
+        cfg = ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=10**5)
+        for where in (None, gates):
+            out = gen_thermal_arrivals(cfg, MS, seed=2, gates=where)
+            assert list(out.times_by_key) == [Arm.BEAM1, Arm.BEAM2]
+            assert_canonical(out)
 
     def test_len_sums_the_arms(self):
-        cfg = ThermalSourceConfig(mean_rate_hz=1e6)
+        cfg = ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=10**5)
         out = gen_thermal_arrivals(cfg, MS, seed=2)
         b1, b2 = out.select_arm(Arm.BEAM1), out.select_arm(Arm.BEAM2)
         assert len(out) == len(b1) + len(b2) > len(b1) > 0
         assert np.array_equal(b1.times, out.times_by_key[Arm.BEAM1])
 
     def test_times_needs_one_arm(self):
-        out = gen_thermal_arrivals(ThermalSourceConfig(mean_rate_hz=1e6), MS, seed=2)
+        cfg = ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=10**5)
+        out = gen_thermal_arrivals(cfg, MS, seed=2)
         with pytest.raises(ValueError, match="one-arm"):
             out.times
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ThermalSourceConfig(mean_rate_hz=1e6, mode=ThermalMode.SHARED_SINGLE_MODE)
-        with pytest.raises(ConfigError):
-            ThermalSourceConfig(mean_rate_hz=1e6, splitting_ratio=0.3)  # independent arms
-        with pytest.raises(ConfigError):
-            ThermalSourceConfig(
-                mean_rate_hz=1e6,
-                mode=ThermalMode.SHARED_SINGLE_MODE,
-                coherence_time_ps=100,
-                splitting_ratio=1.5,
-            )
+        with pytest.raises(ConfigError, match="coherence_time_ps"):
+            ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=0)
+        with pytest.raises(ConfigError, match="splitting_ratio"):
+            ThermalSourceConfig(mean_rate_hz=1e6, coherence_time_ps=100, splitting_ratio=1.5)
 
 
 class TestClassicalWaveGates:

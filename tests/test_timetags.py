@@ -68,7 +68,12 @@ class TestCsvParsing:
     def test_bad_timestamp_reports_line(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_timetag_file("channel,t_ps\nD1,3.5\n", "csv")
-        for t in ("99999999999999999999", "-99999999999999999999", str(2**63)):
+        # outside int64; not what write_timetag_file writes (an optional '-' and
+        # ASCII digits; int() alone reads the first three as 1000, 5 and 12);
+        # more digits than int() converts
+        out_of_range = ("99999999999999999999", "-99999999999999999999", str(2**63))
+        not_written = ("1_000", "+5", "\u0661\u0662", "--5", "-", "")
+        for t in out_of_range + not_written + ("0" * 5000 + "1",):
             with pytest.raises(DataFormatError, match="line 3: bad timestamp"):
                 parse_timetag_file(f"channel,t_ps\nD1,1\nT,{t}\n", "csv")
 
