@@ -13,13 +13,16 @@ sides' digests match; its provenance names both commits.  After the pairs,
 one ``--trace 1`` run per workload and side (seed 1, the first side
 alternating from workload to workload) adds that side's per-layer metrics
 under ``layers``, so the record shows which layer moved; one run per side
-resolves only moves of about 20% or more.
+resolves only moves of about 20% or more.  A record of every workload (no
+``--workload``) then runs the head tree's Tier-1 tests and
+``scripts/reproduce_experiments.py`` once each and puts their wall seconds
+under ``suite``.
 A perf change quotes the median ratio and the wins from its record:
 
     python3 scripts/bench.py --base HEAD~1 --label pr11 --seeds 5
 
 takes about 2 x 4 x (5 + 1) x 30 s on a 2-core VM at the default 20 s per
-run.
+run, plus about 90 s for the suite.
 The worktree is removed when the script ends, also when a run fails or the
 script is stopped by SIGTERM; each run's harness and its workers are then
 killed with it.
@@ -31,15 +34,18 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def git(*args: str, check: bool = True) -> str:
@@ -47,6 +53,26 @@ def git(*args: str, check: bool = True) -> str:
     if check and proc.returncode != 0:
         raise SystemExit(f"git {' '.join(args)} failed: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def run_group(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[int, str, str]:
+    """Run ``cmd`` to its end: (exit status, stdout, stderr).
+
+    It runs in its own session, so the command and the workers it starts are
+    one process group, stopped together if the record is.
+    """
+    proc = subprocess.Popen(
+        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    return proc.returncode, stdout, stderr
 
 
 def run_once(
@@ -57,25 +83,13 @@ def run_once(
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
-    # Its own session: the harness and the workers it starts are one process
-    # group, stopped together if the record is.
-    proc = subprocess.Popen(
-        cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
-    try:
-        stdout, stderr = proc.communicate()
-    except BaseException:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        raise
+    returncode, stdout, stderr = run_group(cmd, tree)
     lines = stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
-    if proc.returncode not in (0, 1) or len(lines) < 2:
+    if returncode not in (0, 1) or len(lines) < 2:
         raise SystemExit(
             f"{tree}/benchmark/run.py failed on {workload} seed {seed} "
-            f"(exit {proc.returncode}): {stderr.strip()}"
+            f"(exit {returncode}): {stderr.strip()}"
         )
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
@@ -122,6 +136,31 @@ def paired(base: dict, head: dict, metrics: list[dict]) -> dict:
             "head_won": sum(won(r) for r in ratios),
         }
     return out
+
+
+def run_suite() -> dict:
+    """Wall seconds of this tree's Tier-1 tests and of each shipped config's run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    started = time.perf_counter()
+    returncode, stdout, _ = run_group([sys.executable, *TIER1], REPO_ROOT, env)
+    tier1 = {
+        "seconds": time.perf_counter() - started,
+        "exit": returncode,
+        "summary": stdout.strip().splitlines()[-1] if stdout.strip() else "",
+    }
+    with tempfile.TemporaryDirectory(prefix="coincsim-suite-") as out_dir:
+        script = str(REPO_ROOT / "scripts" / "reproduce_experiments.py")
+        returncode, stdout, _ = run_group(
+            [sys.executable, script, "--out-dir", out_dir], REPO_ROOT, env
+        )
+    # each config's line ends "..., <seconds> s -> <csv path>"
+    configs = {
+        m[1]: float(m[2]) for m in re.finditer(r"^(\S+): .*, ([0-9.]+) s -> ", stdout, re.M)
+    }
+    return {"tier1": tier1, "reproduce_experiments": {"exit": returncode, "seconds": configs}}
 
 
 def _stop(signum: int, frame) -> None:
@@ -184,6 +223,8 @@ def main(argv: list[str] | None = None) -> int:
         git("worktree", "remove", "--force", str(base_tree), check=False)
         shutil.rmtree(scratch, ignore_errors=True)
         git("worktree", "prune", check=False)
+    # After the worktree is gone: Tier-1's own bench tests expect no other one.
+    suite = None if args.workload else run_suite()
 
     record_workloads = {}
     for workload in workloads:
@@ -214,6 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "workloads": record_workloads,
     }
+    if suite is not None:
+        record["suite"] = suite
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

@@ -186,14 +186,15 @@ def filter_min_separation(times: np.ndarray, min_sep_ps: int) -> np.ndarray:
     n = len(times)
     if min_sep_ps <= 0 or n < 2:
         return times.copy()
-    gap_ok = np.diff(times) >= min_sep_ps
-    if gap_ok.all():
+    close = np.flatnonzero(np.diff(times) < min_sep_ps)
+    if not len(close):
         return times.copy()
     keep = np.ones(n, dtype=bool)
-    starts = np.nonzero(np.concatenate(([True], gap_ok)))[0]
-    ends = np.concatenate((starts[1:], [n]))
-    runs = ends - starts >= 2
-    for s, e in zip(starts[runs].tolist(), ends[runs].tolist()):
+    # consecutive close gaps first..last make one run of events [first, last + 2)
+    breaks = np.flatnonzero(np.diff(close) > 1)
+    firsts = close[np.concatenate(([0], breaks + 1))]
+    ends = close[np.concatenate((breaks, [len(close) - 1]))] + 2
+    for s, e in zip(firsts.tolist(), ends.tolist()):
         last = times[s]
         for i in range(s + 1, e):
             if times[i] - last >= min_sep_ps:

@@ -66,7 +66,7 @@ def _check(times: np.ndarray, codes: np.ndarray, duration_ps: int, what: str) ->
 def _split(times: np.ndarray, codes: np.ndarray, duration_ps: int, what: str) -> EventStream:
     """Check the records' order and range, then split them by channel."""
     _check(times, codes, duration_ps, what)
-    by_channel = {channel: times[codes == channel] for channel in Channel}
+    by_channel = {channel: times.compress(codes == channel) for channel in Channel}
     return EventStream(duration_ps, {c: t for c, t in by_channel.items() if len(t)})
 
 
@@ -130,14 +130,17 @@ def _parse_ttag1(data: bytes, duration_ps: int | None) -> EventStream:
         raise DataFormatError(f"bad magic {magic!r}: not a TTAG1 file")
     if version != _VERSION:
         raise DataFormatError(f"unsupported TTAG1 version {version}")
-    body = data[_HEADER.size:]
-    if len(body) % _RECORD_DTYPE.itemsize != 0:
+    body_bytes = len(data) - _HEADER.size
+    if body_bytes % _RECORD_DTYPE.itemsize != 0:
         raise DataFormatError(
-            f"TTAG1 body of {len(body)} bytes is not a whole number of "
+            f"TTAG1 body of {body_bytes} bytes is not a whole number of "
             f"{_RECORD_DTYPE.itemsize}-byte records (truncated file?)"
         )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-    codes = records["ch"]
+    # The records are read in place; each field is copied once into a
+    # contiguous array (the strided 9-byte fields are slow to compare and
+    # split, and the copies do not alias the caller's buffer).
+    records = np.frombuffer(data, dtype=_RECORD_DTYPE, offset=_HEADER.size)
+    times, codes = records["t"].copy(), records["ch"].copy()
     if len(codes) and int(codes.max()) > int(Channel.GATE_GEN):
         bad = int(np.nonzero(codes > int(Channel.GATE_GEN))[0][0])
         raise DataFormatError(f"record {bad}: unknown channel code {int(codes[bad])}")
@@ -145,8 +148,7 @@ def _parse_ttag1(data: bytes, duration_ps: int | None) -> EventStream:
         duration_ps = int(stored_duration)
         if duration_ps <= 0:
             raise DataFormatError("TTAG1 duration must be positive")
-    # contiguous codes: the strided record field is slower to compare
-    return _split(records["t"], codes.copy(), duration_ps, "TTAG1 file")
+    return _split(times, codes, duration_ps, "TTAG1 file")
 
 
 def parse_timetag_file(

@@ -264,3 +264,17 @@ class TestFilterMinSeparation:
         times = np.array(sorted(raw_times), dtype=np.int64)
         out = filter_min_separation(times, min_sep)
         assert out.tolist() == greedy_min_separation(times.tolist(), min_sep)
+
+    @pytest.mark.parametrize(
+        "times, min_sep",
+        [
+            ([0, 1, 2, 50, 100, 101, 102], 5),  # runs touch index 0 and index n-1
+            ([0, 3, 6, 9, 12, 15, 18], 5),  # one run spans the whole array
+            ([0, 2, 4, 20, 22, 24], 5),  # two runs split by exactly one wide gap
+            ([0, 2, 4, 9, 11, 13], 5),  # ... a gap exactly min_sep wide
+            ([10, 40, 70, 100], 1000),  # min_sep larger than the whole span
+        ],
+    )
+    def test_run_edges_match_reference(self, times, min_sep):
+        out = filter_min_separation(np.array(times, dtype=np.int64), min_sep)
+        assert out.tolist() == greedy_min_separation(times, min_sep)

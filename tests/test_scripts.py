@@ -103,6 +103,8 @@ def test_bench_writes_record(tmp_path):
         assert pair["head_won"] in (0, 1)
     # the base worktree is gone again
     assert bench_worktrees() == []
+    # with --workload the record does not run Tier-1 (this test) again
+    assert "suite" not in record
 
 
 def wait_for(condition, proc, seconds=120):

@@ -153,6 +153,27 @@ class TestTtag1Parsing:
         with pytest.raises(DataFormatError, match="TTAG1 duration must be positive"):
             parse_timetag_file(ttag1_bytes(0, []), "ttag1")
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_buffer_kinds_parse_alike(self, kind):
+        records = [(100, 0), (150, 3), (200, 1), (200, 2), (300, 1)]
+        s = parse_timetag_file(kind(ttag1_bytes(1000, records)), "ttag1")
+        assert s.duration_ps == 1000
+        assert events_of(s) == [Event(Channel(ch), t) for t, ch in records]
+
+    def test_stream_does_not_alias_input_buffer(self):
+        raw = bytearray(ttag1_bytes(1000, [(100, 0), (200, 1), (300, 2)]))
+        s = parse_timetag_file(raw, "ttag1")
+        raw[14:] = bytes(len(raw) - 14)  # every record now reads (0, T)
+        assert events_of(s) == [
+            Event(Channel.TRIGGER, 100), Event(Channel.D1, 200), Event(Channel.D2, 300)
+        ]
+
+    def test_channel_code_reported_before_ordering(self):
+        # record 1 breaks the order, record 3 holds an unknown code
+        raw = ttag1_bytes(1000, [(500, 0), (100, 1), (600, 2), (700, 7)])
+        with pytest.raises(DataFormatError, match="record 3: unknown channel code 7"):
+            parse_timetag_file(raw, "ttag1")
+
 
 @pytest.mark.parametrize("duration", [0, -1])
 @pytest.mark.parametrize(
