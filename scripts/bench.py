@@ -45,7 +45,6 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def git(*args: str, check: bool = True) -> str:
@@ -144,8 +143,9 @@ def run_suite() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     started = time.perf_counter()
-    returncode, stdout, _ = run_group([sys.executable, *TIER1], REPO_ROOT, env)
+    returncode, stdout, _ = run_group(cmd, REPO_ROOT, env)
     tier1 = {
         "seconds": time.perf_counter() - started,
         "exit": returncode,
