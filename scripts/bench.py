@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics of this tree against a base commit.
 
-Checks out ``--base REV`` as a detached worktree in a temporary directory
-and, for each seed 1..K and each workload, runs ``benchmark/run.py --trace 0``
-of both trees back to back, each tree's own harness on its own ``src/``.
+Checks out ``--base REV`` and this tree as two detached worktrees in one
+temporary directory and, for each seed 1..K and each workload, runs
+``benchmark/run.py --trace 0`` of both trees back to back, each tree's own
+harness on its own ``src/``.  Both sides thus run from fresh checkouts side
+by side, so neither pays for the directory it runs in.  The head worktree
+holds the commit of the tracked files as they are, uncommitted edits
+included (``git stash create``, or ``HEAD`` for a clean tree); untracked
+files are not in it, and the record's provenance lists them.
 Which side goes first alternates from seed to seed, so slow drift of the
 machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
@@ -23,8 +28,8 @@ A perf change quotes the median ratio and the wins from its record:
 
 takes about 2 x 4 x (5 + 1) x 30 s on a 2-core VM at the default 20 s per
 run, plus about 90 s for the suite.
-The worktree is removed when the script ends, also when a run fails or the
-script is stopped by SIGTERM; each run's harness and its workers are then
+Both worktrees are removed when the script ends, also when a run fails or
+the script is stopped by SIGTERM; each run's harness and its workers are then
 killed with it.
 """
 
@@ -164,7 +169,7 @@ def run_suite() -> dict:
 
 
 def _stop(signum: int, frame) -> None:
-    raise SystemExit(128 + signum)  # so that the worktree is removed on the way out
+    raise SystemExit(128 + signum)  # so that the worktrees are removed on the way out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -193,15 +198,16 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or names
     seeds = list(range(1, args.seeds + 1))
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    head_tree_commit = git("stash", "create") or git("rev-parse", "HEAD")
 
     runs = {name: {w: [] for w in workloads} for name in ("base", "head")}
     layers = {name: {} for name in ("base", "head")}
     signal.signal(signal.SIGTERM, _stop)
     scratch = Path(tempfile.mkdtemp(prefix="coincsim-bench-"))
-    base_tree = scratch / "base"
+    trees = {"base": scratch / "base", "head": scratch / "head"}
     try:
-        git("worktree", "add", "--detach", str(base_tree), base_commit)
-        trees = {"base": base_tree, "head": REPO_ROOT}
+        for name, commit in (("base", base_commit), ("head", head_tree_commit)):
+            git("worktree", "add", "--detach", str(trees[name]), commit)
         # Seeds outer, workloads inner, so slow drift of the machine spreads
         # over every workload instead of landing on one; each workload's
         # pairs alternate which side runs first.
@@ -220,10 +226,11 @@ def main(argv: list[str] | None = None) -> int:
                 _, result = run_once(trees[name], workload, seeds[0], args.seconds, trace=1)
                 layers[name][workload] = {m: v["value"] for m, v in result["metrics"].items()}
     finally:
-        git("worktree", "remove", "--force", str(base_tree), check=False)
+        for tree in trees.values():
+            git("worktree", "remove", "--force", str(tree), check=False)
         shutil.rmtree(scratch, ignore_errors=True)
         git("worktree", "prune", check=False)
-    # After the worktree is gone: Tier-1's own bench tests expect no other one.
+    # After the worktrees are gone: Tier-1's own bench tests expect no other one.
     suite = None if args.workload else run_suite()
 
     record_workloads = {}
@@ -244,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         "provenance": {
             "head_commit": git("rev-parse", "HEAD"),
             "head_uncommitted_changes": bool(status),
+            "head_tree_commit": head_tree_commit,
+            "head_untracked_files": git("ls-files", "--others", "--exclude-standard").splitlines(),
             "base": args.base,
             "base_commit": base_commit,
             "nproc": os.cpu_count(),

@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import struct
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, DataFormatError, UndefinedEstimateError
 from .estimators import alpha_estimate
-from .events import Channel
-from .gating import GatePolicy, count_gates, make_gates_from_trigger
+from .events import Channel, EventStream
+from .gating import CountSummary, GateList, GatePolicy, count_gates, make_gates_from_trigger
 from .scenario import (
     RESULTS_HEADER,
     csv_row,
@@ -38,6 +41,10 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 
 _GATE_CHANNELS = {"T": Channel.TRIGGER, "G": Channel.GATE_GEN}
+
+# analyze reads TTAG1 records in cache-sized chunks, so memory stays flat in file size
+_CHUNK_RECORDS = 1 << 16
+_HEADER_SIZE, _RECORD = 14, struct.Struct("<qB")  # the TTAG1 layout (see timetags)
 
 
 def _read_config(path: str):
@@ -64,25 +71,60 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parsed_chunks(path: str, fmt: str, duration_ps: int | None):
+    """Yield each chunk of a time-tag file parsed, and the time no later record is before
+    (inf after the last).  A bad file is parsed again whole, to report its first fault."""
+    with open(path, "rb") as f:
+        if TimetagFormat(fmt) is TimetagFormat.CSV:  # one chunk
+            yield parse_timetag_file(f.read(), fmt, duration_ps=duration_ps), math.inf
+            return
+        buf = bytearray(_HEADER_SIZE + _RECORD.size * _CHUNK_RECORDS)
+        head, prev, end = f.readinto(memoryview(buf)[:_HEADER_SIZE]), None, len(buf)
+        while end == len(buf):  # the header stays in front of every chunk
+            end = head + f.readinto(memoryview(buf)[head:])
+            try:
+                stream = parse_timetag_file(memoryview(buf)[:end], fmt, duration_ps=duration_ps)
+                if len(stream) and prev and _RECORD.unpack_from(buf, _HEADER_SIZE) < prev:
+                    raise DataFormatError("ordering violation at a chunk boundary")
+            except DataFormatError:
+                f.seek(0)
+                parse_timetag_file(f.read(), fmt, duration_ps=duration_ps)
+                raise
+            prev = _RECORD.unpack_from(buf, end - _RECORD.size) if len(stream) else prev
+            yield stream, prev[0] if end == len(buf) else math.inf
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     window_ps = round(args.window_ns * 1000) if math.isfinite(args.window_ns) else 0
     if not 0 < window_ps < 2**63:
         raise ConfigError("--window-ns must be finite, positive and below 2**63 ps")
     if args.duration_ps is not None and args.duration_ps <= 0:
         raise ConfigError("--duration-ps must be positive")
+    gate_channel = _GATE_CHANNELS[args.gate_channel]
+    policy = GatePolicy.ALLOW_OVERLAP if args.allow_overlap else GatePolicy.DROP_OVERLAPPING
+    # Carried across chunks: the gates a later record may still fall into,
+    # and the D1/D2 events that one of them, or a later gate, may see.
+    counts, held = CountSummary(0, 0, 0, 0), np.empty(0, dtype=np.int64)
+    held_d = dict.fromkeys((Channel.D1, Channel.D2), held)
     try:
-        data = Path(args.input).read_bytes()
+        for stream, last in _parsed_chunks(args.input, args.format, args.duration_ps):
+            trigger, duration = stream.select_channel(gate_channel), stream.duration_ps
+            if len(held) and policy is GatePolicy.DROP_OVERLAPPING:  # greedy after the last gate
+                t = trigger.times[np.searchsorted(trigger.times, int(held[-1]) + window_ps) :]
+                trigger = EventStream(duration, {gate_channel: t})
+            gates = make_gates_from_trigger(trigger, window_ps, policy)
+            opens = np.concatenate((held, gates.opens))
+            d = {c: np.concatenate((h, stream.select_channel(c).times)) for c, h in held_d.items()}
+            done = np.searchsorted(opens, last - window_ps, "right")  # closed by `last`
+            d1, d2 = (EventStream(duration, {c: t}) for c, t in d.items())
+            counts += count_gates(GateList(window_ps, opens[:done]), d1, d2)
+            held = opens[done:]  # a later record, or a gate it opens, is at >= last >= held[0]
+            held_d = {c: t[np.searchsorted(t, min([last, *held[:1]])) :] for c, t in d.items()}
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    stream = parse_timetag_file(data, args.format, duration_ps=args.duration_ps)
-    gate_channel = _GATE_CHANNELS[args.gate_channel]
-    policy = GatePolicy.ALLOW_OVERLAP if args.allow_overlap else GatePolicy.DROP_OVERLAPPING
-    gates = make_gates_from_trigger(stream.select_channel(gate_channel), window_ps, policy)
-    counts = count_gates(gates, stream.select_channel(Channel.D1), stream.select_channel(Channel.D2))
     est = alpha_estimate(counts)
-    seconds = stream.duration_ps * 1e-12
-    rate = len(gates) / seconds
+    rate = counts.n_gates / (duration * 1e-12)
     row = csv_row(1, rate, *astuple(counts), est.alpha, est.sigma)
     _write_out(args.out, f"{RESULTS_HEADER}\n{row}\n")
     return EXIT_OK

@@ -152,20 +152,23 @@ def _parse_ttag1(data: bytes, duration_ps: int | None) -> EventStream:
 
 
 def parse_timetag_file(
-    data: bytes | str,
+    data: bytes | bytearray | memoryview | str,
     fmt: TimetagFormat | str,
     duration_ps: int | None = None,
 ) -> EventStream:
     """Parse raw file content into an event stream, validating invariants.
 
-    ``duration_ps`` overrides the duration stored in (TTAG1) or inferred
-    from (CSV) the file.
+    ``data`` is bytes-like, or text for CSV.  ``duration_ps`` overrides the
+    duration stored in (TTAG1) or inferred from (CSV) the file.
     """
     fmt = TimetagFormat(fmt) if not isinstance(fmt, TimetagFormat) else fmt
     if duration_ps is not None and duration_ps <= 0:
         raise DataFormatError(f"duration_ps must be positive, got {duration_ps}")
     if fmt is TimetagFormat.CSV:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        try:
+            text = data if isinstance(data, str) else str(data, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"CSV time-tag file is not UTF-8 at byte {exc.start}") from None
         return _parse_csv(text, duration_ps)
     if isinstance(data, str):
         raise DataFormatError("TTAG1 input must be bytes")

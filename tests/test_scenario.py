@@ -600,6 +600,12 @@ class TestCli:
         assert main(["analyze", "--input", str(f), "--format", "csv"]) == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
 
+    def test_analyze_non_utf8_csv_exits_3(self, tmp_path, capsys):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"channel,t_ps\nT,0\nD1,\xff\n")
+        assert main(["analyze", "--input", str(f), "--format", "csv"]) == EXIT_DATA
+        assert "not UTF-8 at byte 20" in capsys.readouterr().err
+
     def test_analyze_missing_file_exits_3(self, tmp_path):
         assert (
             main(["analyze", "--input", str(tmp_path / "nope.csv"), "--format", "csv"])

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,7 +33,7 @@ def run_script(name, *args):
 
 
 def bench_worktrees():
-    """The bench's base worktrees that git still lists."""
+    """The bench's base and head worktrees that git still lists."""
     out = subprocess.run(
         ["git", "worktree", "list", "--porcelain"], cwd=REPO_ROOT, capture_output=True, text=True
     ).stdout
@@ -74,7 +75,13 @@ def test_reproduce_experiments_writes_results_csv(tmp_path):
     assert header == "point,rate_cps,N,N1,N2,Nc,alpha,sigma"
 
 
+def bench_dirs():
+    """The bench's temporary directories that exist."""
+    return set(Path(tempfile.gettempdir()).glob("coincsim-bench-*"))
+
+
 def test_bench_writes_record(tmp_path):
+    dirs_before = bench_dirs()
     proc = run_script(
         "bench.py", "--base", "HEAD", "--label", "smoke", "--seeds", "1", "--seconds", "0.5",
         "--workload", "gated_coherent", "--out-dir", str(tmp_path),
@@ -86,6 +93,8 @@ def test_bench_writes_record(tmp_path):
     assert provenance["nproc"] == os.cpu_count()
     assert provenance["seeds"] == [1]
     assert provenance["base"] == "HEAD" and len(provenance["base_commit"]) == 40
+    assert len(provenance["head_tree_commit"]) == 40
+    assert isinstance(provenance["head_untracked_files"], list)
     assert list(record["workloads"]) == ["gated_coherent"]
     entry = record["workloads"]["gated_coherent"]
     assert isinstance(entry["digests_match"], bool)
@@ -101,8 +110,9 @@ def test_bench_writes_record(tmp_path):
         pair = entry["pairs"][metric]
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
         assert pair["head_won"] in (0, 1)
-    # the base worktree is gone again
+    # both worktrees are gone again, with their directory
     assert bench_worktrees() == []
+    assert bench_dirs() == dirs_before
     # with --workload the record does not run Tier-1 (this test) again
     assert "suite" not in record
 
@@ -125,10 +135,10 @@ def test_bench_stopped_by_sigterm_cleans_up(tmp_path):
         ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=script_env(),
     )
-    base, started = None, []
+    base, head, started = None, None, []
     try:
-        wait_for(bench_worktrees, proc)
-        (base,) = bench_worktrees()
+        wait_for(lambda: len(bench_worktrees()) == 2, proc)
+        base, head = sorted(bench_worktrees())  # .../base, .../head
         # stop it while the base tree's harness runs a worker (seed 1 runs base first)
         wait_for(lambda: processes_running(f"{base}/benchmark/worker.py"), proc)
         started = processes_running(base)
@@ -148,5 +158,5 @@ def test_bench_stopped_by_sigterm_cleans_up(tmp_path):
     assert len(started) >= 2  # benchmark/run.py and its worker
     assert left == [], "a benchmark process outlived the record"
     assert bench_worktrees() == []
-    assert not Path(base).exists()
+    assert not Path(base).exists() and not Path(head).exists()
     assert not (tmp_path / "BENCH_stopped.json").exists()

@@ -57,6 +57,16 @@ class TestCsvParsing:
         s = parse_timetag_file(b"channel,t_ps\nD1,10\n", "csv")
         assert s.times.tolist() == [10]
 
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_any_bytes_like_input_accepted(self, kind):
+        s = parse_timetag_file(kind(b"channel,t_ps\nD1,10\n"), "csv")
+        assert s.times.tolist() == [10]
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_non_utf8_reports_byte_offset(self, kind):
+        with pytest.raises(DataFormatError, match="not UTF-8 at byte 16"):
+            parse_timetag_file(kind(b"channel,t_ps\nD1,\xff0\n"), "csv")
+
     def test_missing_header_rejected(self):
         with pytest.raises(DataFormatError, match="header"):
             parse_timetag_file("D1,3000\n", "csv")
