@@ -198,7 +198,11 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or names
     seeds = list(range(1, args.seeds + 1))
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    head_tree_commit = git("stash", "create") or git("rev-parse", "HEAD")
+    # what the head worktree holds, taken before any run
+    head_commit = git("rev-parse", "HEAD")
+    head_tree_commit = git("stash", "create") or head_commit
+    status = git("status", "--porcelain", "--untracked-files=no")
+    untracked = git("ls-files", "--others", "--exclude-standard").splitlines()
 
     runs = {name: {w: [] for w in workloads} for name in ("base", "head")}
     layers = {name: {} for name in ("base", "head")}
@@ -245,14 +249,13 @@ def main(argv: list[str] | None = None) -> int:
         }
 
     first = runs["head"][workloads[0]][0][0]
-    status = git("status", "--porcelain", "--untracked-files=no")
     record = {
         "label": args.label,
         "provenance": {
-            "head_commit": git("rev-parse", "HEAD"),
+            "head_commit": head_commit,
             "head_uncommitted_changes": bool(status),
             "head_tree_commit": head_tree_commit,
-            "head_untracked_files": git("ls-files", "--others", "--exclude-standard").splitlines(),
+            "head_untracked_files": untracked,
             "base": args.base,
             "base_commit": base_commit,
             "nproc": os.cpu_count(),
