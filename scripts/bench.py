@@ -5,7 +5,7 @@ Checks out ``--base REV`` and this tree as two detached worktrees in one
 temporary directory and, for each seed 1..K and each workload, runs
 ``benchmark/run.py --trace 0`` of both trees back to back, each tree's own
 harness on its own ``src/``.  Both sides thus run from fresh checkouts side
-by side, so neither pays for the directory it runs in.  The head worktree
+by side.  The head worktree
 holds the commit of the tracked files as they are, uncommitted edits
 included (``git stash create``, or ``HEAD`` for a clean tree); untracked
 files are not in it, and the record's provenance lists them.

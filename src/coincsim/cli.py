@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import struct
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -34,7 +33,7 @@ from .scenario import (
     parse_config,
     run_scenario,
 )
-from .timetags import TimetagFormat, parse_timetag_file
+from .timetags import _HEADER, _RECORD, TimetagFormat, parse_timetag_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,7 +43,6 @@ _GATE_CHANNELS = {"T": Channel.TRIGGER, "G": Channel.GATE_GEN}
 
 # analyze reads TTAG1 records in cache-sized chunks, so memory stays flat in file size
 _CHUNK_RECORDS = 1 << 16
-_HEADER_SIZE, _RECORD = 14, struct.Struct("<qB")  # the TTAG1 layout (see timetags)
 
 
 def _read_config(path: str):
@@ -78,13 +76,13 @@ def _parsed_chunks(path: str, fmt: str, duration_ps: int | None):
         if TimetagFormat(fmt) is TimetagFormat.CSV:  # one chunk
             yield parse_timetag_file(f.read(), fmt, duration_ps=duration_ps), math.inf
             return
-        buf = bytearray(_HEADER_SIZE + _RECORD.size * _CHUNK_RECORDS)
-        head, prev, end = f.readinto(memoryview(buf)[:_HEADER_SIZE]), None, len(buf)
+        buf = bytearray(_HEADER.size + _RECORD.size * _CHUNK_RECORDS)
+        head, prev, end = f.readinto(memoryview(buf)[:_HEADER.size]), None, len(buf)
         while end == len(buf):  # the header stays in front of every chunk
             end = head + f.readinto(memoryview(buf)[head:])
             try:
                 stream = parse_timetag_file(memoryview(buf)[:end], fmt, duration_ps=duration_ps)
-                if len(stream) and prev and _RECORD.unpack_from(buf, _HEADER_SIZE) < prev:
+                if len(stream) and prev and _RECORD.unpack_from(buf, _HEADER.size) < prev:
                     raise DataFormatError("ordering violation at a chunk boundary")
             except DataFormatError:
                 f.seek(0)

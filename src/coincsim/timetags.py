@@ -42,6 +42,7 @@ _MAGIC = b"TTAG1"
 _VERSION = 1
 _HEADER = struct.Struct("<5sBQ")
 _RECORD_DTYPE = np.dtype([("t", "<i8"), ("ch", "u1")])
+_RECORD = struct.Struct("<qB")  # the same layout, to unpack a single record
 
 _CHANNEL_NAMES = {
     Channel.TRIGGER: "T",
