@@ -49,6 +49,9 @@ class GateList:
         if self.window_ps <= 0:
             raise ConfigError("window_ps must be positive")
         opens = np.asarray(self.opens, dtype=np.int64)
+        if len(opens) and int(opens[-1]) > 2**63 - 1 - self.window_ps:  # sorted: last closes last
+            where = f"a window of {self.window_ps} ps from the opening at {int(opens[-1])} ps"
+            raise ConfigError(where + " closes past 2**63 - 1 ps")
         opens.setflags(write=False)
         object.__setattr__(self, "opens", opens)
 

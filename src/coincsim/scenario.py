@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, astuple, dataclass, fields, replace
 from enum import Enum
 from functools import partial
@@ -521,6 +520,7 @@ def run_point(
     worker = partial(_acquire, config=config, source=source, point_index=point_index, gates=gates)
     indices = range(first_acquisition, first_acquisition + n_acquisitions)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~18 ms to import; only for a pool
         chunk = max(1, len(indices) // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(worker, indices, chunksize=chunk))

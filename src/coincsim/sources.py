@@ -52,11 +52,12 @@ whole-acquisition rates.
 Shared-mode thermal light is, given its block intensities, a Poisson process
 whose rate is constant on each coherence block (Mandel & Wolf, *Optical
 Coherence and Quantum Optics*, 1995); restricted to the gates it is again
-one, with the gates cut at the block edges.  Each arm draws its in-gate
-count from the in-gate mean and places every arrival by inverting the
-cumulative mean, first over the gates and then over the blocks, and draws
-its outside count from the rest of the whole-acquisition mean.  The same
-routine with the whole interval as the one gate gives the plain stream.
+one, with each gate cut at the block edges into a first piece, whole blocks
+and a tail.  Each arm draws its in-gate count from the gates' summed means
+and places every arrival by inverting the cumulative mean, first over the
+gates and then over the blocks of its own gate, and draws its outside count
+from the rest of the whole-acquisition mean.  The same routine with the
+whole interval as the one gate gives the plain stream.
 
 The scenario runner places every generator-gated kind (coherent and thermal
 light) on the periodic gates when neither beam detector has dead time or
@@ -348,24 +349,17 @@ def project_idler_path(
 _GATE_CHUNK = 1 << 16
 
 
-def _mean_before(t: np.ndarray, rate: np.ndarray, at_edge: np.ndarray, tau: int) -> np.ndarray:
-    """Mean photon number in [0, t), for 0 <= t <= the interval's end."""
-    b = np.minimum(t // tau, len(rate) - 1)
-    mean = rate[b] * (t - b * tau)
-    mean += at_edge[b]
-    return mean
-
-
 def _gate_cum(
-    lo: np.ndarray, window: int, rate: np.ndarray, at_edge: np.ndarray, tau: int, duration_ps: int
+    lo: np.ndarray, window: int, rate: np.ndarray, tau: int, duration_ps: int
 ) -> np.ndarray:
     """Running sum of the mean photon numbers of the gates opening at ``lo``.
 
     A gate inside one block b has the mean ``rate[b] * window``.  A gate that
     crosses a block edge, and the last gate (it may be clipped at
-    ``duration_ps``), take the difference of the cumulative means at its
-    close and its open.  The sum runs chunk by chunk, carried left to right,
-    so the chunk size changes no bit.
+    ``duration_ps``), add up a first piece, their whole blocks (one
+    ``np.add.reduceat`` over the gates that have any) and a tail.  The sum
+    runs chunk by chunk, carried left to right, so the chunk size changes no
+    bit.
     """
     gate_cum = np.empty(len(lo))
     carry = 0.0
@@ -373,7 +367,7 @@ def _gate_cum(
         chunk = lo[s : s + _GATE_CHUNK]
         m = gate_cum[s : s + len(chunk)]
         b = chunk // tau  # a floor division by a scalar is several times faster than divmod
-        np.take(rate, b, out=m)
+        np.take(rate, b, out=m, mode="clip")  # "raise" would buffer ``out``; b is in range
         m *= window
         b *= tau
         r = np.subtract(chunk, b, out=b)  # each gate's offset in its block
@@ -382,11 +376,50 @@ def _gate_cum(
             cross[-1] = True
         e = chunk[cross]
         close = np.minimum(e + window, duration_ps)
-        m[cross] = _mean_before(close, rate, at_edge, tau) - _mean_before(e, rate, at_edge, tau)
+        b0, b1 = e // tau, (close - 1) // tau
+        first_end = np.minimum((b0 + 1) * tau, close)  # of the first piece, in block b0
+        mean = rate[b0] * (first_end - e) + rate[b1] * (close - np.maximum(b1 * tau, first_end))
+        full = np.flatnonzero(b1 - b0 > 1)
+        if len(full):  # reduceat gives an element, not 0, for an empty range
+            edges = np.stack((b0[full] + 1, b1[full]), axis=1).ravel()
+            mean[full] += tau * np.add.reduceat(rate[: edges[-1]], edges[:-1])[::2]
+        m[cross] = mean
         m[0] += carry
         np.cumsum(m, out=m)
         carry = m[-1]
     return gate_cum
+
+
+def _place(
+    y: np.ndarray, lo_g: np.ndarray, window: int, rate: np.ndarray, tau: int, duration_ps: int
+) -> np.ndarray:
+    """Times of the arrivals at mean ``y`` into their gates, opening at ``lo_g``.
+
+    The arrivals come sorted by gate, then by ``y``.  One in its gate's first
+    piece is placed there, the others through one running sum of the rates
+    over the later blocks of each distinct hit gate.
+    """
+    close = np.minimum(lo_g + window, duration_ps)
+    b0, b1 = lo_g // tau, (close - 1) // tau
+    first = rate[b0]
+    y_first = first * (np.minimum((b0 + 1) * tau, close) - lo_g)  # the first piece's mean
+    t = lo_g + np.divide(y, first, out=np.zeros(len(y)), where=first > 0).astype(np.int64)
+    i = np.flatnonzero((y >= y_first) & (b1 > b0))  # past the first piece
+    if len(i):
+        new = np.diff(lo_g[i], prepend=-1) != 0  # the first arrival in each hit gate
+        blk0, n_blk = b0[i[new]] + 1, (b1 - b0)[i[new]]  # the hit gates' later blocks
+        cum = np.zeros(n_blk.sum() + 1)
+        pieces = [rate[b : b + n] for b, n in zip(blk0.tolist(), n_blk.tolist())]
+        np.cumsum(np.concatenate(pieces, out=cum[1:]), out=cum[1:])
+        gate = np.cumsum(new) - 1  # each arrival's hit gate
+        base = (np.cumsum(n_blk) - n_blk)[gate]  # where its gate's blocks start in cum
+        z = (y[i] - y_first[i]) / tau + cum[base]  # in summed rates
+        k = np.searchsorted(cum, z, side="right") - 1
+        np.minimum(k, base + n_blk[gate] - 1, out=k)  # rounding at the gate's close
+        blk = blk0[gate] + k - base
+        t[i] = blk * tau + ((z - cum[k]) / rate[blk] * tau).astype(np.int64)
+    np.clip(t, lo_g, close - 1, out=t)  # rounding at the block and gate edges
+    return t
 
 
 def _blocked_rate_times(
@@ -399,30 +432,24 @@ def _blocked_rate_times(
 ) -> list[tuple[np.ndarray, int]]:
     """Per arm: sorted arrivals inside ``gates`` and the count outside them.
 
-    The photon rate (per ps) is ``rate[b]`` on block b = [b*tau, (b+1)*tau),
-    the last block ending at ``duration_ps``, and arm k receives
-    ``shares[k]`` of it.  A gate's mean is ``rate[b] * window`` when it lies
-    inside block b, and otherwise the difference of the cumulative means at
-    its close and its open (``_gate_cum``).  Inside the gates (default
-    ``None``: the whole interval) arm k draws Poisson(share * in-gate mean)
-    arrivals and places each by inverting the cumulative mean: a uniform on
-    [0, in-gate mean) picks a gate through the gates' cumulative means, and
-    then a block and an offset in it through the blocks' cumulative means,
-    so a gate that straddles block edges is cut there.  Outside the gates
-    arm k draws only a count, Poisson(share * (whole-interval mean - in-gate
-    mean)).
+    Arm k's photon rate (per ps) is ``shares[k] * rate[b]`` on block
+    b = [b*tau, (b+1)*tau), the last block ending at ``duration_ps``; the
+    means below are those of ``rate``.  Inside the gates (default ``None``:
+    the whole interval) arm k draws Poisson(share * in-gate mean) arrivals.
+    A uniform on [0, in-gate mean) picks a gate through the gates' running
+    mean (``_gate_cum``), then a block and an offset through that gate's own
+    blocks (``_place``).  Outside the gates arm k draws only a count,
+    Poisson(share * (whole-interval mean - in-gate mean)).
     """
     lo, window = np.zeros(1, dtype=np.int64), duration_ps
     if gates is not None:
         lo, window = _checked(gates, duration_ps).opens, gates.window_ps
-    at_edge = np.zeros(len(rate) + 1)  # mean photon number before each block edge
-    np.cumsum(rate, out=at_edge[1:])
-    at_edge *= tau
-    at_edge[-1] -= rate[-1] * (len(rate) * tau - duration_ps)
-
-    gate_cum = _gate_cum(lo, window, rate, at_edge, tau, duration_ps)
+    gate_cum = _gate_cum(lo, window, rate, tau, duration_ps)
     inside = float(gate_cum[-1]) if len(gate_cum) else 0.0
-    outside = 0.0 if gates is None else max(float(at_edge[-1]) - inside, 0.0)
+    outside = 0.0
+    if gates is not None:  # the whole-interval mean, less the clipped part of the last block
+        whole = tau * float(rate.sum()) - float(rate[-1]) * (len(rate) * tau - duration_ps)
+        outside = max(whole - inside, 0.0)
     placed = []
     for rng, share in zip(rngs, shares):
         n = int(rng.poisson(share * inside)) if share * inside > 0 else 0
@@ -430,14 +457,8 @@ def _blocked_rate_times(
         x.sort()
         x *= inside
         g = np.searchsorted(gate_cum[:-1], x, side="right")
-        lo_g = lo[g]
-        y = x - np.where(g > 0, gate_cum[g - 1], 0.0)
-        y += _mean_before(lo_g, rate, at_edge, tau)  # mean before it
-        b = np.searchsorted(at_edge[1:-1], y, side="right")
-        offset = ((y - at_edge[b]) / rate[b]).astype(np.int64)
-        t = b * tau + np.minimum(offset, tau - 1)
-        # rounding at the block and gate edges
-        np.clip(t, lo_g, np.minimum(lo_g + window, duration_ps) - 1, out=t)
+        x -= np.where(g > 0, gate_cum[g - 1], 0.0)  # the mean into its gate
+        t = _place(x, lo[g], window, rate, tau, duration_ps)
         n_out = int(rng.poisson(share * outside)) if share * outside > 0 else 0
         placed.append((t, n_out))
     return placed
@@ -462,9 +483,10 @@ def gen_thermal_arrivals(
     n_blocks = -(-duration_ps // tau)  # ceil division
     int_rng = np.random.default_rng(derive_seed(seed, "intensity"))
     rate = int_rng.standard_exponential(n_blocks)  # mean 1
-    rate *= config.mean_rate_hz * 1e-12
-    q = config.splitting_ratio
-    placed = _blocked_rate_times(rngs, (q, 1.0 - q), rate, tau, duration_ps, gates)
+    # the shares carry the photon rate per ps, so no pass scales every block
+    q, scale = config.splitting_ratio, config.mean_rate_hz * 1e-12
+    shares = (q * scale, (1.0 - q) * scale)
+    placed = _blocked_rate_times(rngs, shares, rate, tau, duration_ps, gates)
     (t1, out1), (t2, out2) = placed
     times = {Arm.BEAM1: t1, Arm.BEAM2: t2}
     return ArrivalStream(duration_ps, times, gates, {Arm.BEAM1: out1, Arm.BEAM2: out2})

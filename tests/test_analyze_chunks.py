@@ -119,6 +119,18 @@ def test_window_near_the_int64_limit():
     assert analyze_in_chunks(raw, 1, *flags) == analyze_in_chunks(raw, 1 << 16, *flags)
 
 
+def test_gate_closing_past_the_int64_limit_is_refused():
+    # a 9e15 ns window from a trigger at 3e17 ps would close past 2**63 ps, and
+    # the wrapped close would see neither event
+    t0 = 3 * 10**17
+    raw = ttag1_bytes(4 * 10**17, [(t0, T), (t0 + 5, D1), (t0 + 6, D2)])
+    code, out, err = analyze_in_chunks(raw, 1 << 16, "--window-ns", "9e15")
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert f"window of {9 * 10**18} ps from the opening at {t0} ps" in err
+    result = analyze_in_chunks(raw, 1 << 16, "--window-ns", "9e3")
+    assert counts_row(result) == ["1", "1", "1", "1"]
+
+
 def test_ordering_break_at_a_chunk_boundary():
     # each chunk of two records is sorted; records 1 and 2 are not
     raw = ttag1_bytes(100, [(0, T), (10, D1), (5, D2), (20, D1)])

@@ -64,6 +64,13 @@ class TestGatesFromTrigger:
         with pytest.raises(ConfigError):
             make_gates_from_trigger(estream([0], Channel.TRIGGER), window_ps=0)
 
+    def test_close_past_int64_refused(self):
+        last = 2**63 - 1 - 7 * NS  # this gate closes at 2**63 - 1 ps exactly
+        assert GateList(7 * NS, [0, last]).closes[-1] == 2**63 - 1
+        message = rf"window of {7 * NS} ps from the opening at {last + 1} ps"
+        with pytest.raises(ConfigError, match=message):
+            GateList(7 * NS, [0, last + 1])
+
 
 class TestGatesPeriodic:
     def test_65khz_one_second(self):

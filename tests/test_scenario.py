@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import coincsim
 from coincsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from coincsim.detectors import DetectorConfig
 from coincsim.errors import ConfigError
@@ -401,6 +405,25 @@ class TestRunning:
         serial = run_point(cfg, 1, jobs=1)
         parallel = run_point(cfg, 1, jobs=2)
         assert serial == parallel
+
+    def test_import_leaves_the_process_pool_out(self):
+        """``import coincsim`` does not load the process pool; ``jobs=2`` loads it when it runs."""
+        code = (
+            "import sys, coincsim\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "from coincsim.scenario import ScenarioConfig, run_point\n"
+            "from coincsim.sources import PdcSourceConfig\n"
+            "cfg = ScenarioConfig(source=PdcSourceConfig(pair_rate_hz=2e6), acquisitions=4,\n"
+            "                     acquisition_duration_ps=10**8, master_seed=11)\n"
+            "assert run_point(cfg, 1, jobs=2) == run_point(cfg, 1, jobs=1)\n"
+            "assert 'concurrent.futures.process' in sys.modules\n"
+        )
+        src = Path(coincsim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_coherent_scenario_runs(self):
         cfg = parse_config(COHERENT_SMALL)
