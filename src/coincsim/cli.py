@@ -47,9 +47,11 @@ _CHUNK_RECORDS = 1 << 16
 
 def _read_config(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 at byte {exc.start}") from None
     return parse_config(text)
 
 
@@ -100,24 +102,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ConfigError("--duration-ps must be positive")
     gate_channel = _GATE_CHANNELS[args.gate_channel]
     policy = GatePolicy.ALLOW_OVERLAP if args.allow_overlap else GatePolicy.DROP_OVERLAPPING
-    # Carried across chunks: the gates a later record may still fall into,
-    # and the D1/D2 events that one of them, or a later gate, may see.
-    counts, held = CountSummary(0, 0, 0, 0), np.empty(0, dtype=np.int64)
-    held_d = dict.fromkeys((Channel.D1, Channel.D2), held)
+    # Carried across chunks: each channel's records from the first gate still
+    # open at `last`, or from `last`.  That record is a kept gate, so the
+    # greedy pass run again over the carry keeps the same gates.
+    counts = CountSummary(0, 0, 0, 0)
+    carry = dict.fromkeys((gate_channel, Channel.D1, Channel.D2), np.empty(0, dtype=np.int64))
     try:
         for stream, last in _parsed_chunks(args.input, args.format, args.duration_ps):
-            trigger, duration = stream.select_channel(gate_channel), stream.duration_ps
-            if len(held) and policy is GatePolicy.DROP_OVERLAPPING:  # greedy after the last gate
-                t = trigger.times[np.searchsorted(trigger.times, int(held[-1]) + window_ps) :]
-                trigger = EventStream(duration, {gate_channel: t})
-            gates = make_gates_from_trigger(trigger, window_ps, policy)
-            opens = np.concatenate((held, gates.opens))
-            d = {c: np.concatenate((h, stream.select_channel(c).times)) for c, h in held_d.items()}
+            duration = stream.duration_ps
+            t = {c: np.concatenate((h, stream.select_channel(c).times)) for c, h in carry.items()}
+            trigger, d1, d2 = (EventStream(duration, {c: x}) for c, x in t.items())
+            opens = make_gates_from_trigger(trigger, window_ps, policy).opens
             done = np.searchsorted(opens, last - window_ps, "right")  # closed by `last`
-            d1, d2 = (EventStream(duration, {c: t}) for c, t in d.items())
             counts += count_gates(GateList(window_ps, opens[:done]), d1, d2)
-            held = opens[done:]  # a later record, or a gate it opens, is at >= last >= held[0]
-            held_d = {c: t[np.searchsorted(t, min([last, *held[:1]])) :] for c, t in d.items()}
+            cut = opens[done] if done < len(opens) else last  # a later record is at >= last
+            carry = {c: x[np.searchsorted(x, cut) :] for c, x in t.items()}
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_DATA

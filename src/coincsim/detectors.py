@@ -82,9 +82,10 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
 
     if config.jitter_sigma_ps > 0 and len(kept):
         jit = np.random.default_rng(derive_seed(seed, "jitter"))
-        kept = kept + np.rint(
-            jit.normal(0.0, config.jitter_sigma_ps, size=len(kept))
-        ).astype(np.int64)
+        offsets = np.rint(jit.normal(0.0, config.jitter_sigma_ps, size=len(kept)))
+        # an offset past the interval lands on its edge either way; clipped, it fits int64
+        np.clip(offsets, -duration, duration, out=offsets)
+        kept = kept + offsets.astype(np.int64)
         np.clip(kept, 0, duration - 1, out=kept)
         kept.sort()
 

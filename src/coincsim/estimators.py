@@ -32,15 +32,15 @@ estimates can be checked without re-deriving them from counts:
   probabilities t1, t2 and independent per-gate accidental means a1, a2
   (accidentals Poisson, so a window fires with probability 1 - exp(-a)):
 
-      A_i = 1 - exp(-a_i)
-      P1  = s * (t1 + (1 - t1) * A1) + (1 - s) * A1
-      P2  = (1 - s) * (t2 + (1 - t2) * A2) + s * A2
-      Pc  = s * (t1 + (1 - t1) * A1) * A2 + (1 - s) * A1 * (t2 + (1 - t2) * A2)
+      A_i = 1 - exp(-a_i),  H_i = t_i + (1 - t_i) * A_i
+      P1  = (H1 + A1) / 2
+      P2  = (H2 + A2) / 2
+      Pc  = (H1 * A2 + A1 * H2) / 2
       alpha = Pc / (P1 * P2)
 
-  where s is the probability the heralded photon takes path 1.  The partner
-  lands on exactly one path, and the accidental processes on the two paths
-  are independent of it and of each other, so these mixtures are exact.
+  The heralded partner takes either path with probability 1/2 and lands on
+  exactly one of them, and the accidental processes on the two paths are
+  independent of it and of each other, so these mixtures are exact.
 * independent beams: the per-gate indicator variables factorize, alpha = 1
   identically, at every rate.
 * shared-mode chaotic light (intensity redrawn every coherence time tau,
@@ -72,7 +72,6 @@ from .sources import ClassicalWaveConfig, IntensityLaw
 
 __all__ = [
     "AlphaEstimate",
-    "OracleParams",
     "alpha_estimate",
     "expected_alpha_classical_wave",
     "expected_alpha_pdc",
@@ -139,48 +138,30 @@ def sigma_separation(estimate: AlphaEstimate, reference: float) -> float:
     return abs(estimate.alpha - reference) / estimate.sigma
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    """Per-gate parameters of the pair-source prediction.
+def expected_alpha_pdc(t1: float, t2: float, a1: float, a2: float) -> float:
+    """Exact per-gate alpha of the pair source with independent accidentals.
 
     t1/t2: probability that the heralded partner photon, having taken the
     corresponding path, is detected inside the gate.  a1/a2: mean accidental
     events (dark counts plus unrelated photons) per gate on each channel.
-    path1_fraction: probability the partner takes path 1.
     """
-
-    t1: float
-    t2: float
-    a1: float
-    a2: float
-    path1_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("t1", "t2", "path1_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in ("a1", "a2"):
-            v = getattr(self, name)
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
-
-def expected_alpha_pdc(params: OracleParams) -> float:
-    """Exact per-gate alpha of the pair source with independent accidentals."""
-    s = params.path1_fraction
-    acc1 = -math.expm1(-params.a1)  # 1 - exp(-a1)
-    acc2 = -math.expm1(-params.a2)
-    hit1 = params.t1 + (1.0 - params.t1) * acc1  # channel 1 fires, partner on path 1
-    hit2 = params.t2 + (1.0 - params.t2) * acc2
-    p1 = s * hit1 + (1.0 - s) * acc1
-    p2 = (1.0 - s) * hit2 + s * acc2
-    pc = s * hit1 * acc2 + (1.0 - s) * acc1 * hit2
+    for name, v in (("t1", t1), ("t2", t2)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
+    for name, v in (("a1", a1), ("a2", a2)):
+        if v < 0 or not math.isfinite(v):
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
+    acc1 = -math.expm1(-a1)  # 1 - exp(-a1)
+    acc2 = -math.expm1(-a2)
+    hit1 = t1 + (1.0 - t1) * acc1  # channel 1 fires, partner on path 1
+    hit2 = t2 + (1.0 - t2) * acc2
+    p1, p2 = hit1 + acc1, hit2 + acc2  # twice P1 and P2
     if p1 == 0.0 or p2 == 0.0:
         raise UndefinedEstimateError(
             "expected alpha undefined: a channel has zero firing probability"
         )
-    return pc / (p1 * p2)
+    # the halves of P1, P2 and Pc cancel to a factor 2; both scalings are exact
+    return 2.0 * (hit1 * acc2 + acc1 * hit2) / (p1 * p2)
 
 
 def expected_alpha_thermal_shared(window_ps: int, coherence_time_ps: int) -> float:

@@ -28,6 +28,7 @@ __all__ = [
     "GateList",
     "GatePolicy",
     "count_gates",
+    "gate_period_ps",
     "make_gates_from_trigger",
     "make_gates_periodic",
 ]
@@ -90,6 +91,21 @@ def make_gates_from_trigger(
     return GateList(window_ps, opens)
 
 
+def gate_period_ps(rate_hz: float, window_ps: int) -> float:
+    """The period of gates at ``rate_hz``, checked to leave room for ``window_ps``."""
+    if not (rate_hz > 0) or not np.isfinite(rate_hz):
+        raise ConfigError("run.gate_rate_hz must be finite and > 0")
+    period_ps = 1e12 / rate_hz
+    # Rounding moves each opening by <= 0.5 ps, so openings lie >= period - 1 ps
+    # apart: a window at most that long never overlaps the next gate.
+    if window_ps > period_ps - 1:
+        raise ConfigError(
+            f"run.window_ps ({window_ps} ps) must be at least 1 ps shorter than "
+            f"the period of run.gate_rate_hz ({period_ps:.1f} ps): gates would overlap"
+        )
+    return period_ps
+
+
 def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> GateList:
     """Strictly periodic gates from a pulse generator running at ``rate_hz``.
 
@@ -99,20 +115,11 @@ def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> Gat
     one period and multiplying) keeps the long-run rate exact: 65 kHz over one
     second yields exactly 65000 gates.
     """
-    if rate_hz <= 0 or not np.isfinite(rate_hz):
-        raise ConfigError("gate rate_hz must be finite and > 0")
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
     if window_ps <= 0:
         raise ConfigError("window_ps must be positive")
-    period_ps = 1e12 / rate_hz
-    # Rounding moves each opening by <= 0.5 ps, so openings lie >= period - 1 ps
-    # apart: a window at most that long never overlaps the next gate.
-    if window_ps > period_ps - 1:
-        raise ConfigError(
-            f"run.window_ps ({window_ps} ps) must be at least 1 ps shorter than "
-            f"the period of run.gate_rate_hz ({period_ps:.1f} ps): gates would overlap"
-        )
+    period_ps = gate_period_ps(rate_hz, window_ps)
     n = int(np.ceil(duration_ps / period_ps)) + 1
     ideal = np.arange(n, dtype=np.float64)
     ideal *= period_ps

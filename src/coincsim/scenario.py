@@ -53,7 +53,6 @@ from .detectors import DetectorConfig, detect
 from .errors import ConfigError
 from .estimators import (
     AlphaEstimate,
-    OracleParams,
     alpha_estimate,
     expected_alpha_classical_wave,
     expected_alpha_pdc,
@@ -67,6 +66,7 @@ from .gating import (
     GateList,
     GatePolicy,
     count_gates,
+    gate_period_ps,
     make_gates_from_trigger,
     make_gates_periodic,
 )
@@ -178,14 +178,7 @@ class ScenarioConfig:
         else:
             if self.gate_rate_hz is None:
                 raise ConfigError(f"run.gate_rate_hz is required for kind={self.kind.value}")
-            if not (self.gate_rate_hz > 0) or not math.isfinite(self.gate_rate_hz):
-                raise ConfigError("run.gate_rate_hz must be finite and > 0")
-            period_ps = PICOSECONDS_PER_SECOND / self.gate_rate_hz
-            if self.window_ps > period_ps - 1:
-                raise ConfigError(
-                    f"run.window_ps ({self.window_ps} ps) must be at least 1 ps shorter than "
-                    f"the period of run.gate_rate_hz ({period_ps:.1f} ps)"
-                )
+            gate_period_ps(self.gate_rate_hz, self.window_ps)
 
         if gating is not Gating.PER_GATE:
             object.__setattr__(self, "d1", self.d1 or default_detector(Channel.D1))
@@ -493,23 +486,8 @@ def _acquire_wave(config, source: ClassicalWaveConfig, seed, gates: None) -> _Ac
     return _AcqTotals(CountSummary(n_gates, n1, n2, nc), n_gates, n1, n2)
 
 
-def run_point(
-    config: ScenarioConfig,
-    point_index: int,
-    *,
-    n_acquisitions: int | None = None,
-    first_acquisition: int = 0,
-    jobs: int = 1,
-) -> _AcqTotals:
-    """Accumulate counts for one 1-based sweep point.
-
-    Totals are additive across acquisition ranges: running [0, k) and [k, n)
-    separately and summing gives exactly the totals of running [0, n).
-    """
-    if n_acquisitions is None:
-        n_acquisitions = config.acquisitions_for(point_index)
-    if n_acquisitions < 1:
-        raise ConfigError(f"n_acquisitions must be >= 1, got {n_acquisitions}")
+def run_point(config: ScenarioConfig, point_index: int, *, jobs: int = 1) -> _AcqTotals:
+    """Accumulate counts over the acquisitions of one 1-based sweep point."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     source = _scaled(config.source, config.multipliers[point_index - 1])
@@ -518,7 +496,7 @@ def run_point(
         dur = config.acquisition_duration_ps
         gates = make_gates_periodic(config.gate_rate_hz, dur, config.window_ps)
     worker = partial(_acquire, config=config, source=source, point_index=point_index, gates=gates)
-    indices = range(first_acquisition, first_acquisition + n_acquisitions)
+    indices = range(config.acquisitions_for(point_index))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~18 ms to import; only for a pool
         chunk = max(1, len(indices) // (jobs * 8))
@@ -606,7 +584,7 @@ def _predict_pdc(config: ScenarioConfig, source: PdcSourceConfig) -> float:
         sigma = math.hypot(*jitter)
         t.append(det.efficiency * _window_capture(config.window_ps, sigma))
         a.append((0.5 * source.pair_rate_hz * det.efficiency + det.dark_rate_hz) * w_s)
-    return expected_alpha_pdc(OracleParams(t1=t[0], t2=t[1], a1=a[0], a2=a[1]))
+    return expected_alpha_pdc(*t, *a)
 
 
 def _predict_thermal(config: ScenarioConfig, source: ThermalSourceConfig) -> float:

@@ -312,6 +312,8 @@ def gen_pdc_pairs(
     if config.pair_jitter_ps > 0 and len(t_sig):
         jit_rng = np.random.default_rng(derive_seed(seed, "pair-jitter"))
         offsets = np.rint(jit_rng.normal(0.0, config.pair_jitter_ps, size=len(t_sig)))
+        # an offset past the interval lands on its edge either way; clipped, it fits int64
+        np.clip(offsets, -duration_ps, duration_ps, out=offsets)
         t_idl = np.clip(t_sig + offsets.astype(np.int64), 0, duration_ps - 1)
         t_idl.sort()
     else:
@@ -321,22 +323,18 @@ def gen_pdc_pairs(
     return trigger, idler
 
 
-def project_idler_path(
-    idler: ArrivalStream, seed: int, path1_fraction: float = 0.5
-) -> ArrivalStream:
+def project_idler_path(idler: ArrivalStream, seed: int) -> ArrivalStream:
     """Assign each undecided idler photon to exactly one splitter output.
 
     This is where the single-photon character enters the simulation: a photon
-    appears on path 1 (with probability ``path1_fraction``) or on path 2, and
-    never on both.  The output stream holds the two paths as two arms; each
-    timestamp lands on exactly one of them.
+    appears on path 1 or on path 2, with probability 1/2 each, and never on
+    both.  The output stream holds the two paths as two arms; each timestamp
+    lands on exactly one of them.
     """
-    if not 0.0 <= path1_fraction <= 1.0:
-        raise ConfigError("path1_fraction must be in [0, 1]")
     if idler.unplaced:
         raise ValueError("unplaced arrivals carry no time and cannot be projected")
     times = idler.times
-    take1 = np.random.default_rng(seed).random(len(times)) < path1_fraction
+    take1 = np.random.default_rng(seed).random(len(times)) < 0.5
     # compress, not a boolean index: a random mask defeats branch prediction.
     paths = {Arm.IDLER_PATH1: times.compress(take1), Arm.IDLER_PATH2: times.compress(~take1)}
     return ArrivalStream(idler.duration_ps, paths, idler.gates)

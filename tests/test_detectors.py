@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,16 @@ class TestJitter:
         for s in range(50):
             out = detect(src, cfg, seed=s)
             assert_canonical(out)
+
+    def test_huge_jitter_clamps_to_the_edges(self):
+        # offsets far past int64 range must not wrap the detected times
+        src = gen_poisson_arrivals(1e6, MS, Arm.BEAM1, seed=4)
+        cfg = DetectorConfig(channel=Channel.D1, jitter_sigma_ps=1e30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = detect(src, cfg, seed=2)
+        assert len(out) == len(src) > 0
+        assert set(np.unique(out.times).tolist()) <= {0, MS - 1}
 
 
 class TestDeadTime:

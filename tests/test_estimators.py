@@ -10,7 +10,6 @@ from scipy import integrate
 from coincsim.errors import UndefinedEstimateError
 from coincsim.estimators import (
     AlphaEstimate,
-    OracleParams,
     alpha_estimate,
     expected_alpha_classical_wave,
     expected_alpha_pdc,
@@ -157,28 +156,25 @@ class TestSigmaSeparation:
 
 class TestPdcOracle:
     def test_no_accidentals_means_zero(self):
-        p = OracleParams(t1=0.3, t2=0.4, a1=0.0, a2=0.0)
-        assert expected_alpha_pdc(p) == 0.0
+        assert expected_alpha_pdc(t1=0.3, t2=0.4, a1=0.0, a2=0.0) == 0.0
 
     def test_no_true_detections_means_one(self):
         # with t=0 every count is accidental and the fields factorize
-        p = OracleParams(t1=0.0, t2=0.0, a1=1e-3, a2=2e-3)
-        assert expected_alpha_pdc(p) == pytest.approx(1.0, rel=1e-12)
+        assert expected_alpha_pdc(t1=0.0, t2=0.0, a1=1e-3, a2=2e-3) == pytest.approx(1.0, rel=1e-12)
 
     def test_frozen_reference_value(self):
-        p = OracleParams(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
-        assert expected_alpha_pdc(p) == pytest.approx(0.0015981618569163353, rel=1e-12)
+        p = dict(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
+        assert expected_alpha_pdc(**p) == pytest.approx(0.0015981618569163353, rel=1e-12)
 
     def test_monotone_in_accidental_rates(self):
         base = dict(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
-        lo = expected_alpha_pdc(OracleParams(**base))
-        hi1 = expected_alpha_pdc(OracleParams(**{**base, "a1": 5e-4}))
-        hi2 = expected_alpha_pdc(OracleParams(**{**base, "a2": 5e-4}))
+        lo = expected_alpha_pdc(**base)
+        hi1 = expected_alpha_pdc(**{**base, "a1": 5e-4})
+        hi2 = expected_alpha_pdc(**{**base, "a2": 5e-4})
         assert lo < hi1 and lo < hi2
 
     def test_small_accidentals_alpha_small(self):
-        p = OracleParams(t1=0.25, t2=0.25, a1=1e-5, a2=1e-5)
-        assert expected_alpha_pdc(p) < 0.01
+        assert expected_alpha_pdc(t1=0.25, t2=0.25, a1=1e-5, a2=1e-5) < 0.01
 
     def test_per_gate_monte_carlo_agreement(self):
         # independent per-gate simulation of the same probabilistic model
@@ -197,16 +193,18 @@ class TestPdcOracle:
         nc = (fire1 & fire2).sum()
         alpha_mc = nc * n / (n1 * n2)
         est = alpha_estimate(CountSummary(n, int(n1), int(n2), int(nc)))
-        expected = expected_alpha_pdc(OracleParams(t1=t1, t2=t2, a1=a1, a2=a2))
+        expected = expected_alpha_pdc(t1=t1, t2=t2, a1=a1, a2=a2)
         assert abs(alpha_mc - expected) < 3 * est.sigma
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            OracleParams(t1=-0.1, t2=0.5, a1=0, a2=0)
+            expected_alpha_pdc(t1=-0.1, t2=0.5, a1=0, a2=0)
         with pytest.raises(ValueError):
-            OracleParams(t1=0.5, t2=0.5, a1=-1e-4, a2=0)
+            expected_alpha_pdc(t1=0.5, t2=1.5, a1=0, a2=0)
         with pytest.raises(ValueError):
-            OracleParams(t1=0.5, t2=0.5, a1=0, a2=0, path1_fraction=1.5)
+            expected_alpha_pdc(t1=0.5, t2=0.5, a1=-1e-4, a2=0)
+        with pytest.raises(ValueError):
+            expected_alpha_pdc(t1=0.5, t2=0.5, a1=0, a2=math.inf)
 
 
 class TestThermalOracle:
@@ -278,6 +276,6 @@ class TestClassicalWaveOracle:
 
 class TestCrossChecks:
     def test_alpha_one_sits_between_pdc_and_thermal(self):
-        pdc = expected_alpha_pdc(OracleParams(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4))
+        pdc = expected_alpha_pdc(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
         th = expected_alpha_thermal_shared(window_ps=7000, coherence_time_ps=700_000)
         assert pdc < 1.0 < th

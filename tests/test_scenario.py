@@ -384,17 +384,6 @@ class TestRunning:
         other = dataclasses.replace(cfg, master_seed=12)
         assert emit_results_csv(run_scenario(cfg)) != emit_results_csv(run_scenario(other))
 
-    def test_point_totals_additive_over_acquisitions(self):
-        cfg = small_pdc_config()
-        whole = run_point(cfg, 1, n_acquisitions=4, first_acquisition=0)
-        first = run_point(cfg, 1, n_acquisitions=2, first_acquisition=0)
-        second = run_point(cfg, 1, n_acquisitions=2, first_acquisition=2)
-        assert first + second == whole
-
-    def test_zero_acquisitions_rejected(self):
-        with pytest.raises(ConfigError, match="n_acquisitions"):
-            run_point(small_pdc_config(), 1, n_acquisitions=0)
-
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_nonpositive_jobs_rejected(self, jobs):
         with pytest.raises(ConfigError, match="jobs"):
@@ -576,6 +565,13 @@ class TestCli:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"[source]\nkind = pdc\n\xff\xfe\n")
+        assert main([command, "--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "is not UTF-8 at byte 20" in capsys.readouterr().err
 
     def test_analyze_happy_path(self, tmp_path, capsys):
         stream = stream_of(
