@@ -160,11 +160,12 @@ class TestPdcOracle:
 
     def test_no_true_detections_means_one(self):
         # with t=0 every count is accidental and the fields factorize
-        assert expected_alpha_pdc(t1=0.0, t2=0.0, a1=1e-3, a2=2e-3) == pytest.approx(1.0, rel=1e-12)
+        alpha = expected_alpha_pdc(t1=0.0, t2=0.0, a1=1e-3, a2=2e-3)
+        assert alpha == pytest.approx(1.0, rel=1e-12)
 
     def test_frozen_reference_value(self):
-        p = dict(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
-        assert expected_alpha_pdc(**p) == pytest.approx(0.0015981618569163353, rel=1e-12)
+        alpha = expected_alpha_pdc(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
+        assert alpha == pytest.approx(0.0015981618569163353, rel=1e-12)
 
     def test_monotone_in_accidental_rates(self):
         base = dict(t1=0.25, t2=0.25, a1=1e-4, a2=1e-4)
