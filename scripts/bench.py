@@ -12,7 +12,8 @@ files are not in it, and the record's provenance lists them.
 Which side goes first alternates from seed to seed, so slow drift of the
 machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
-of ``BENCHMARK.json``, the head/base ratio of every pair with its median and
+of ``BENCHMARK.json`` and the CPU seconds of the run (``cpu_s``: the harness
+and its workers), the head/base ratio of every pair with its median and
 the number of pairs the head won, the failed operations, and whether the two
 sides' digests match; its provenance names both commits.  After the pairs,
 one ``--trace 1`` run per workload and side (seed 1, the first side
@@ -40,6 +41,7 @@ import contextlib
 import json
 import os
 import re
+import resource
 import shutil
 import signal
 import statistics
@@ -79,15 +81,27 @@ def run_group(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[int, 
     return proc.returncode, stdout, stderr
 
 
+def child_cpu_s() -> float:
+    """User plus system CPU seconds of every child reaped so far, and of theirs."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(
     tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
 ) -> tuple[dict, dict]:
-    """One run of ``tree``'s benchmark: (report, result) from its last two lines."""
+    """One run of ``tree``'s benchmark: (report, result) from its last two lines.
+
+    The result's metrics gain ``cpu_s``, the CPU seconds of the harness and
+    of the workers it reaped.
+    """
     cmd = [
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
+    cpu_s = child_cpu_s()
     returncode, stdout, stderr = run_group(cmd, tree)
+    cpu_s = child_cpu_s() - cpu_s
     lines = stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
     if returncode not in (0, 1) or len(lines) < 2:
@@ -95,7 +109,9 @@ def run_once(
             f"{tree}/benchmark/run.py failed on {workload} seed {seed} "
             f"(exit {returncode}): {stderr.strip()}"
         )
-    return json.loads(lines[-2])["report"], json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["metrics"]["cpu_s"] = {"value": cpu_s, "unit": "s"}
+    return json.loads(lines[-2])["report"], result
 
 
 def spread(values: list[float]) -> dict:
@@ -175,7 +191,10 @@ def _stop(signum: int, frame) -> None:
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    metrics = bench["end_to_end"]
+    # CPU seconds beside the wall-clock metrics.  A run is time-boxed, so its
+    # CPU seconds fall when its processes wait off the CPU: a wall-clock move
+    # with them unchanged is work, one with them is waiting.  No gate reads them.
+    metrics = bench["end_to_end"] + [{"name": "cpu_s", "unit": "s", "better": "lower"}]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision the head is paired against")
     parser.add_argument("--label", required=True, help="the record is BENCH_<label>.json")

@@ -51,12 +51,16 @@ whole-acquisition rates.
 
 Shared-mode thermal light is, given its block intensities, a Poisson process
 whose rate is constant on each coherence block (Mandel & Wolf, *Optical
-Coherence and Quantum Optics*, 1995); restricted to the gates it is again
-one, with each gate cut at the block edges into a first piece, whole blocks
-and a tail.  Each arm draws its in-gate count from the gates' summed means
-and places every arrival by inverting the cumulative mean, first over the
-gates and then over the blocks of its own gate, and draws its outside count
-from the rest of the whole-acquisition mean.  The same routine with the
+Coherence and Quantum Optics*, 1995).  Mixed over a block's exponential
+intensity, its count over c gated ticks is Bose–Einstein (geometric) with
+mean rate * c, independently from block to block.  So no intensity is drawn
+for a block that holds one whole gate alone or lies inside a gate: a
+binomial number of such alike blocks is lit, each with a geometric count.
+Only the few blocks at a gate's edges, shared by gates or clipped at the
+end draw an intensity; an integer pass over the gates, a chunk at a time,
+finds them.  The outside count is one Poisson draw, given each group's
+summed intensity, which is one gamma draw.  Photons go uniformly on their
+block's gated ticks, and each goes to one arm.  The same routine with the
 whole interval as the one gate gives the plain stream.
 
 The scenario runner places every generator-gated kind (coherent and thermal
@@ -80,6 +84,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import gating
 from .errors import ConfigError
 from .events import EventStream as ArrivalStream
 from .events import derive_seed
@@ -340,126 +345,113 @@ def project_idler_path(idler: ArrivalStream, seed: int) -> ArrivalStream:
     return ArrivalStream(idler.duration_ps, paths, idler.gates)
 
 
-# Gates whose in-gate means are evaluated together.  Full-length temporaries
-# (8 MB per 10^6 gates) would be fresh memory on every call, paying a page
-# fault per 4 kB and a DRAM pass per operation; one chunk's temporaries stay
-# in cache.
-_GATE_CHUNK = 1 << 16
+def _gate_pass(
+    opens: np.ndarray, window: int, tau: int, duration_ps: int
+) -> tuple[np.ndarray, ...]:
+    """Where the gates opening at ``opens`` meet the blocks [b*tau, (b+1)*tau).
 
-
-def _gate_cum(
-    lo: np.ndarray, window: int, rate: np.ndarray, tau: int, duration_ps: int
-) -> np.ndarray:
-    """Running sum of the mean photon numbers of the gates opening at ``lo``.
-
-    A gate inside one block b has the mean ``rate[b] * window``.  A gate that
-    crosses a block edge, and the last gate (it may be clipped at
-    ``duration_ps``), add up a first piece, their whole blocks (one
-    ``np.add.reduceat`` over the gates that have any) and a tail.  The sum
-    runs chunk by chunk, carried left to right, so the chunk size changes no
-    bit.
+    A gate is simple when it lies inside one block, not the last (which may
+    be clipped at ``duration_ps``), and no other gate touches that block.
+    Finding the other gates is integer work, ``gating.GATE_CHUNK`` gates at
+    a time.  Returns their indices; the first whole block inside each and
+    how many there are; and, in time order, the block, start and length of
+    each one's first piece and tail (empty for a gate inside one block),
+    with the index where each edge block's pieces begin.
     """
-    gate_cum = np.empty(len(lo))
-    carry = 0.0
-    for s in range(0, len(lo), _GATE_CHUNK):
-        chunk = lo[s : s + _GATE_CHUNK]
-        m = gate_cum[s : s + len(chunk)]
-        b = chunk // tau  # a floor division by a scalar is several times faster than divmod
-        np.take(rate, b, out=m, mode="clip")  # "raise" would buffer ``out``; b is in range
-        m *= window
-        b *= tau
-        r = np.subtract(chunk, b, out=b)  # each gate's offset in its block
-        cross = r > tau - window
-        if s + len(chunk) == len(lo):
-            cross[-1] = True
-        e = chunk[cross]
-        close = np.minimum(e + window, duration_ps)
-        b0, b1 = e // tau, (close - 1) // tau
-        first_end = np.minimum((b0 + 1) * tau, close)  # of the first piece, in block b0
-        mean = rate[b0] * (first_end - e) + rate[b1] * (close - np.maximum(b1 * tau, first_end))
-        full = np.flatnonzero(b1 - b0 > 1)
-        if len(full):  # reduceat gives an element, not 0, for an empty range
-            edges = np.stack((b0[full] + 1, b1[full]), axis=1).ravel()
-            mean[full] += tau * np.add.reduceat(rate[: edges[-1]], edges[:-1])[::2]
-        m[cross] = mean
-        m[0] += carry
-        np.cumsum(m, out=m)
-        carry = m[-1]
-    return gate_cum
+    last = (duration_ps - 1) // tau
+    odd = [np.empty(0, dtype=np.int64)]
+    for s in range(0, len(opens), gating.GATE_CHUNK):
+        a, e = max(s - 1, 0), min(s + gating.GATE_CHUNK, len(opens))
+        lo = opens[a : e + 1]  # the chunk, with a neighbour on each side
+        start = lo // tau
+        start *= tau  # of each gate's first block
+        other = lo - start > tau - window  # reaches into the next block
+        other |= lo >= last * tau
+        shared = lo[:-1] + window > start[1:]  # a gate reaches into the next one's block
+        other[1:] |= shared
+        other[:-1] |= shared
+        odd.append(np.flatnonzero(other[s - a : e - a]) + s)
+    odd = np.concatenate(odd)
+    lo = opens[odd]
+    hi = np.minimum(lo + window, duration_ps)
+    b0, b1 = lo // tau, (hi - 1) // tau
+    first_end = np.minimum((b0 + 1) * tau, hi)
+    tail = np.maximum(b1 * tau, first_end)
+    blocks = np.stack((b0, b1), axis=1).ravel()
+    starts = np.stack((lo, tail), axis=1).ravel()
+    lengths = np.stack((first_end - lo, hi - tail), axis=1).ravel()
+    edges = np.flatnonzero(np.diff(blocks, prepend=-1))
+    return odd, b0 + 1, np.maximum(b1 - b0 - 1, 0), blocks, starts, lengths, edges
 
 
-def _place(
-    y: np.ndarray, lo_g: np.ndarray, window: int, rate: np.ndarray, tau: int, duration_ps: int
-) -> np.ndarray:
-    """Times of the arrivals at mean ``y`` into their gates, opening at ``lo_g``.
+def _lit(rng: np.random.Generator, n: int, mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted indices of the lit ones of ``n`` blocks of in-gate mean ``mean``, and their counts.
 
-    The arrivals come sorted by gate, then by ``y``.  One in its gate's first
-    piece is placed there, the others through one running sum of the rates
-    over the later blocks of each distinct hit gate.
+    A block's in-gate count is Bose–Einstein, geometric with P(K >= 1) =
+    mean / (1 + mean).  Choosing Binomial(n, that) of the blocks uniformly
+    lights each one independently, and a lit one holds geometric(1 / (1 +
+    mean)) >= 1 photons.
     """
-    close = np.minimum(lo_g + window, duration_ps)
-    b0, b1 = lo_g // tau, (close - 1) // tau
-    first = rate[b0]
-    y_first = first * (np.minimum((b0 + 1) * tau, close) - lo_g)  # the first piece's mean
-    t = lo_g + np.divide(y, first, out=np.zeros(len(y)), where=first > 0).astype(np.int64)
-    i = np.flatnonzero((y >= y_first) & (b1 > b0))  # past the first piece
-    if len(i):
-        new = np.diff(lo_g[i], prepend=-1) != 0  # the first arrival in each hit gate
-        blk0, n_blk = b0[i[new]] + 1, (b1 - b0)[i[new]]  # the hit gates' later blocks
-        cum = np.zeros(n_blk.sum() + 1)
-        pieces = [rate[b : b + n] for b, n in zip(blk0.tolist(), n_blk.tolist())]
-        np.cumsum(np.concatenate(pieces, out=cum[1:]), out=cum[1:])
-        gate = np.cumsum(new) - 1  # each arrival's hit gate
-        base = (np.cumsum(n_blk) - n_blk)[gate]  # where its gate's blocks start in cum
-        z = (y[i] - y_first[i]) / tau + cum[base]  # in summed rates
-        k = np.searchsorted(cum, z, side="right") - 1
-        np.minimum(k, base + n_blk[gate] - 1, out=k)  # rounding at the gate's close
-        blk = blk0[gate] + k - base
-        t[i] = blk * tau + ((z - cum[k]) / rate[blk] * tau).astype(np.int64)
-    np.clip(t, lo_g, close - 1, out=t)  # rounding at the block and gate edges
-    return t
+    idx = rng.choice(n, rng.binomial(n, mean / (1.0 + mean)), replace=False, shuffle=False)
+    idx.sort()
+    return idx, rng.geometric(1.0 / (1.0 + mean), len(idx))
 
 
-def _blocked_rate_times(
-    rngs: list[np.random.Generator],
-    shares: tuple[float, ...],
-    rate: np.ndarray,
-    tau: int,
-    duration_ps: int,
-    gates: GateList | None = None,
-) -> list[tuple[np.ndarray, int]]:
-    """Per arm: sorted arrivals inside ``gates`` and the count outside them.
+def _shared_mode_times(
+    rng: np.random.Generator, lam: float, tau: int, duration_ps: int, gates: GateList | None
+) -> tuple[np.ndarray, int]:
+    """Sorted photon times inside ``gates`` and the count outside, at ``lam`` photons per ps.
 
-    Arm k's photon rate (per ps) is ``shares[k] * rate[b]`` on block
-    b = [b*tau, (b+1)*tau), the last block ending at ``duration_ps``; the
-    means below are those of ``rate``.  Inside the gates (default ``None``:
-    the whole interval) arm k draws Poisson(share * in-gate mean) arrivals.
-    A uniform on [0, in-gate mean) picks a gate through the gates' running
-    mean (``_gate_cum``), then a block and an offset through that gate's own
-    blocks (``_place``).  Outside the gates arm k draws only a count,
-    Poisson(share * (whole-interval mean - in-gate mean)).
+    Block b = [b*tau, (b+1)*tau), the last one ending at ``duration_ps``,
+    holds Poisson(lam*c*I) photons on its c gated ticks, for its intensity
+    I ~ Exp(1).  Simple gates' blocks (c = window) and whole blocks inside a
+    gate (c = tau) are lit by ``_lit``; edge blocks draw I.  Outside, the
+    count is Poisson(lam * sum of (L - c) * I) over blocks of length L, with
+    each group's summed I given its in-gate count K one draw, Gamma(n + K,
+    scale 1 / (1 + lam*c)) for n alike blocks.  ``gates=None`` (the whole
+    interval) draws no outside count.
     """
-    lo, window = np.zeros(1, dtype=np.int64), duration_ps
+    opens, window = np.zeros(1, dtype=np.int64), duration_ps
     if gates is not None:
-        lo, window = _checked(gates, duration_ps).opens, gates.window_ps
-    gate_cum = _gate_cum(lo, window, rate, tau, duration_ps)
-    inside = float(gate_cum[-1]) if len(gate_cum) else 0.0
-    outside = 0.0
-    if gates is not None:  # the whole-interval mean, less the clipped part of the last block
-        whole = tau * float(rate.sum()) - float(rate[-1]) * (len(rate) * tau - duration_ps)
-        outside = max(whole - inside, 0.0)
-    placed = []
-    for rng, share in zip(rngs, shares):
-        n = int(rng.poisson(share * inside)) if share * inside > 0 else 0
-        x = rng.random(n)
-        x.sort()
-        x *= inside
-        g = np.searchsorted(gate_cum[:-1], x, side="right")
-        x -= np.where(g > 0, gate_cum[g - 1], 0.0)  # the mean into its gate
-        t = _place(x, lo[g], window, rate, tau, duration_ps)
-        n_out = int(rng.poisson(share * outside)) if share * outside > 0 else 0
-        placed.append((t, n_out))
-    return placed
+        opens, window = _checked(gates, duration_ps).opens, gates.window_ps
+    odd, inner, n_inner, blocks, starts, lengths, edges = _gate_pass(
+        opens, window, tau, duration_ps
+    )
+    # simple gates: the lit ones among all gates, less the others
+    hit, k = _lit(rng, len(opens), lam * window)
+    keep = np.append(odd, -1)[np.searchsorted(odd, hit)] != hit
+    hit, k_simple = hit[keep], k[keep]
+    times = [np.repeat(opens[hit], k_simple) + rng.integers(0, window, k_simple.sum())]
+    # whole blocks inside the other gates, by their running count
+    ends, n_in = np.cumsum(n_inner), int(n_inner.sum())
+    hit, k = _lit(rng, n_in, lam * tau)
+    g = np.searchsorted(ends, hit, side="right")
+    hit += inner[g] + n_inner[g] - ends[g]  # the lit block
+    times.append(np.repeat(hit * tau, k) + rng.integers(0, tau, k.sum()))
+    # edge blocks, each over its pieces laid end to end
+    c = np.add.reduceat(lengths, edges)
+    intensity = rng.standard_exponential(len(c))
+    k = rng.poisson(lam * c * intensity)
+    lit = np.flatnonzero(k)
+    offset = np.cumsum(lengths) - lengths
+    x = np.repeat(offset[edges[lit]], k[lit]) + rng.integers(0, np.repeat(c[lit], k[lit]))
+    j = np.searchsorted(offset, x, side="right") - 1
+    times.append(starts[j] + x - offset[j])
+    t = np.concatenate(times)
+    t.sort()
+    if gates is None:
+        return t, 0
+    last = (duration_ps - 1) // tau
+    edge_blocks = blocks[edges]
+    last_lit = int(len(edges) > 0 and edge_blocks[-1] == last)
+    length = np.minimum((edge_blocks + 1) * tau, duration_ps) - edge_blocks * tau
+    n_simple = len(opens) - len(odd)
+    unlit = last - n_simple - n_in - len(edges) + last_lit
+    weight = float(((length - c) * intensity).sum())
+    weight += (tau - window) * rng.standard_gamma(n_simple + k_simple.sum()) / (1 + lam * window)
+    weight += tau * rng.standard_gamma(unlit)
+    weight += (duration_ps - last * tau) * rng.standard_gamma(1 - last_lit)
+    return t, int(rng.poisson(lam * weight))
 
 
 def gen_thermal_arrivals(
@@ -468,26 +460,25 @@ def gen_thermal_arrivals(
     """Shared-mode thermal arrivals on the arms BEAM1 and BEAM2, placed inside ``gates``.
 
     The interval is tiled with blocks of length ``coherence_time_ps`` (last
-    block truncated); one exponential intensity draw per block scales the
-    rate of *both* arms, and conditional on the intensity profile the two
-    arms are independent Poisson processes.  The common intensity is what
-    correlates the arms.  The arrivals outside the gates (default ``None``:
-    the whole interval) are only counted, per arm, in ``unplaced_by_key``.
+    block truncated), each with its own exponential intensity that scales
+    the rate of *both* arms; given the intensities, the two arms are
+    independent Poisson processes.  The common intensity is what correlates
+    the arms.  The photons of the one mode are drawn per block without the
+    intensities (``_shared_mode_times``), and each goes to BEAM1 with
+    probability ``splitting_ratio``.  The arrivals outside the gates
+    (default ``None``: the whole interval) are only counted, per arm, in
+    ``unplaced_by_key``.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
-    rngs = [np.random.default_rng(derive_seed(seed, f"beam{k}")) for k in (1, 2)]
-    tau = int(config.coherence_time_ps)
-    n_blocks = -(-duration_ps // tau)  # ceil division
-    int_rng = np.random.default_rng(derive_seed(seed, "intensity"))
-    rate = int_rng.standard_exponential(n_blocks)  # mean 1
-    # the shares carry the photon rate per ps, so no pass scales every block
-    q, scale = config.splitting_ratio, config.mean_rate_hz * 1e-12
-    shares = (q * scale, (1.0 - q) * scale)
-    placed = _blocked_rate_times(rngs, shares, rate, tau, duration_ps, gates)
-    (t1, out1), (t2, out2) = placed
-    times = {Arm.BEAM1: t1, Arm.BEAM2: t2}
-    return ArrivalStream(duration_ps, times, gates, {Arm.BEAM1: out1, Arm.BEAM2: out2})
+    rng = np.random.default_rng(derive_seed(seed, "shared-mode"))
+    lam, tau = config.mean_rate_hz * 1e-12, int(config.coherence_time_ps)
+    t, n_out = _shared_mode_times(rng, lam, tau, duration_ps, gates)
+    q = config.splitting_ratio
+    arm1 = rng.random(len(t)) < q
+    out1 = int(rng.binomial(n_out, q))
+    times = {Arm.BEAM1: t.compress(arm1), Arm.BEAM2: t.compress(~arm1)}
+    return ArrivalStream(duration_ps, times, gates, {Arm.BEAM1: out1, Arm.BEAM2: n_out - out1})
 
 
 def gen_classical_wave_gates(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coincsim import sources
+from coincsim import gating, sources
 from coincsim.detectors import DetectorConfig, detect
 from coincsim.errors import ConfigError
 from coincsim.events import Channel, derive_seed
@@ -23,7 +23,7 @@ from coincsim.scenario import _beam_segments, parse_config
 from coincsim.sources import (
     Arm,
     ThermalSourceConfig,
-    _blocked_rate_times,
+    _gate_pass,
     _poisson_times,
     gen_poisson_arrivals,
     gen_thermal_arrivals,
@@ -177,30 +177,8 @@ acquisition_duration_ps = 1000000000
         assert chosen is (self.gates if expected == "gates" else None)
 
 
-class TickMidpoints:
-    """Stands in for the generator: one arrival in the middle of every gate tick.
-
-    ``fractions`` are the tick midpoints in units of the in-gate mean.  The
-    first Poisson draw (inside the gates) returns their number, the second
-    (outside) none; the means asked for are kept in ``means``.
-    """
-
-    def __init__(self, fractions):
-        self.fractions = fractions
-        self.means = []
-
-    def poisson(self, mean):
-        self.means.append(mean)
-        return len(self.fractions) if len(self.means) == 1 else 0
-
-    def random(self, n):
-        assert n == len(self.fractions)
-        return self.fractions.copy()
-
-
-# Ten 10 ps blocks of different rates (per ps), the last one cut to 5 ps.
+# Ten 10 ps blocks, the last one cut to 5 ps.
 TAU, DURATION = 10, 95
-BLOCK_RATE = np.array([1.0, 0.25, 2.0, 0.5, 3.0, 1.5, 0.75, 2.5, 1.25, 4.0])
 
 
 def gate_ticks(gates):
@@ -211,30 +189,41 @@ def gate_ticks(gates):
     )
 
 
+def gate_pass(gates, tau, duration_ps):
+    """``_gate_pass`` over ``gates``, the whole interval for ``None``: (opens, window, result)."""
+    opens, window = np.zeros(1, dtype=np.int64), duration_ps
+    if gates is not None:
+        opens, window = gates.opens, gates.window_ps
+    return opens, window, _gate_pass(opens, window, tau, duration_ps)
+
+
 class TestBlockedRatePlacement:
     @pytest.mark.parametrize(
         "window, opens",
-        [(None, None), (4, [0, 8, 33, 92]), (25, [2, 40, 80])],
+        [(None, None), (4, [0, 8, 33, 92]), (25, [2, 40, 80]), (2, [20, 23, 26])],
         ids=[
             "whole_interval_is_the_blocks",
             "straddling_gate_and_clipped_last_gate",
             "gates_spanning_several_blocks",
+            "three_gates_in_one_block",
         ],
     )
     def test_pieces_tile_the_gates(self, window, opens):
         gates = None if window is None else GateList(window, np.array(opens, dtype=np.int64))
-        ticks = gate_ticks(gates)
-        tick_mean = BLOCK_RATE[ticks // TAU]
-        inside = tick_mean.sum()
-        rng = TickMidpoints((np.cumsum(tick_mean) - tick_mean / 2) / inside)
-        ((times, unplaced),) = _blocked_rate_times([rng], (1.0,), BLOCK_RATE, TAU, DURATION, gates)
-        # each tick of each gate once, in time order, and nothing else
-        np.testing.assert_array_equal(times, ticks)
-        assert unplaced == 0
-        assert rng.means[0] == pytest.approx(inside)
-        whole = BLOCK_RATE[np.arange(DURATION) // TAU].sum()
-        outside = rng.means[1] if len(rng.means) > 1 else 0.0
-        assert outside == pytest.approx(whole - inside)
+        opens, window, (odd, inner, n_inner, blocks, starts, lengths, edges) = gate_pass(
+            gates, TAU, DURATION
+        )
+        simple = np.delete(opens, odd)
+        ticks = np.concatenate(
+            [np.arange(o, o + window) for o in simple.tolist()]
+            + [np.arange(b * TAU, (b + n) * TAU) for b, n in zip(inner, n_inner)]
+            + [np.arange(o, o + n) for o, n in zip(starts, lengths)]
+        )
+        # each tick of each gate once, and nothing else
+        np.testing.assert_array_equal(np.sort(ticks), gate_ticks(gates))
+        assert (simple // TAU == (simple + window - 1) // TAU).all()
+        assert ((starts // TAU == blocks) | (lengths == 0)).all()
+        assert (np.diff(blocks) >= 0).all() and (np.diff(blocks[edges]) > 0).all()
 
 
 # 100 us of shared-mode light on 101 gates of 100 ns every 997 ns, or on the
@@ -246,6 +235,8 @@ CHUNK_CASES = {
     "inside_and_straddling": (1_000_000, CHUNK_GATES),
     # 20 ns blocks: every gate spans five or six blocks
     "multi_block": (20_000, CHUNK_GATES),
+    # 3 us blocks: three gates (sometimes four) open in each block
+    "three_gates_per_block": (3_000_000, CHUNK_GATES),
     # one more gate, clipped at the end of the interval
     "clipped_last_gate": (
         1_000_000,
@@ -261,53 +252,62 @@ def test_chunk_size_changes_no_bit(case, monkeypatch):
     tau, gates = CHUNK_CASES[case]
     cfg = ThermalSourceConfig(mean_rate_hz=2e8, coherence_time_ps=tau)
     default = gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
-    monkeypatch.setattr(sources, "_GATE_CHUNK", 7)
+    monkeypatch.setattr(gating, "GATE_CHUNK", 7)
     small = gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
     assert len(default) > 1000
     assert small == default
     assert small.unplaced_by_key == default.unplaced_by_key
+    # and the gate pass reads that constant: no chunk of 0 gates
+    monkeypatch.setattr(gating, "GATE_CHUNK", 0)
+    with pytest.raises(ValueError):
+        gen_thermal_arrivals(cfg, CHUNK_US, 7, gates)
 
 
-@pytest.mark.parametrize("chunk", [7, sources._GATE_CHUNK])
+@pytest.mark.parametrize("chunk", [7, gating.GATE_CHUNK])
 @pytest.mark.parametrize("case", list(CHUNK_CASES))
 def test_gate_means_match_block_overlaps(case, chunk, monkeypatch):
-    """Every gate's mean, the clipped last one too, is the Python sum of rate x overlap."""
-    tau, gates = CHUNK_CASES[case]
-    lo, window = np.zeros(1, np.int64), CHUNK_US
-    if gates is not None:
-        lo, window = gates.opens, gates.window_ps
-    n_blocks = -(-CHUNK_US // tau)
-    rate = np.random.default_rng(11).standard_exponential(n_blocks) * 2e-4
-    edges = np.minimum(np.arange(n_blocks + 1) * tau, CHUNK_US)
-    monkeypatch.setattr(sources, "_GATE_CHUNK", chunk)
-    gate_cum = sources._gate_cum(lo, window, rate, tau, CHUNK_US)
-    means = np.diff(gate_cum, prepend=0.0)
+    """Every block's gated length c_b is the Python sum of its overlaps with the gates.
 
-    expected = []
-    for o in lo.tolist():
-        c = min(o + window, CHUNK_US)
-        blocks = range(o // tau, (c - 1) // tau + 1)
-        expected.append(sum(rate[k] * (min(c, edges[k + 1]) - max(o, edges[k])) for k in blocks))
-    np.testing.assert_allclose(means, expected, rtol=1e-12, atol=0)
-    assert gate_cum[-1] == pytest.approx(sum(expected), rel=1e-12)
+    A block's in-gate mean is lam * c_b: the gate pass gives c_b = window to a
+    simple gate's block, tau to a whole block inside a gate and the summed
+    pieces to an edge block, the clipped last one too.
+    """
+    tau, gates = CHUNK_CASES[case]
+    monkeypatch.setattr(gating, "GATE_CHUNK", chunk)
+    opens, window, (odd, inner, n_inner, blocks, _, lengths, edges) = gate_pass(
+        gates, tau, CHUNK_US
+    )
+    n_blocks = -(-CHUNK_US // tau)
+    c = np.zeros(n_blocks, dtype=np.int64)
+    np.add.at(c, np.delete(opens, odd) // tau, window)
+    for b, n in zip(inner.tolist(), n_inner.tolist()):
+        c[b : b + n] += tau
+    c[blocks[edges]] += np.add.reduceat(lengths, edges)
+
+    expected = np.zeros(n_blocks, dtype=np.int64)
+    for o in opens.tolist():
+        close = min(o + window, CHUNK_US)
+        for k in range(o // tau, (close - 1) // tau + 1):
+            expected[k] += min(close, (k + 1) * tau) - max(o, k * tau)
+    np.testing.assert_array_equal(c, expected)
+    if case == "three_gates_per_block":
+        assert (np.bincount(opens // tau) >= 3).mean() > 0.9
 
 
 @pytest.mark.parametrize("case", ["inside_and_straddling", "multi_block", "whole_interval"])
-def test_placed_in_the_gates_and_lit_blocks_only(case):
-    """With every other block dark, each arrival lies in its gate and in a lit block."""
+def test_placed_in_the_gates_only(case):
+    """Each arrival lies in a gate, or in the interval for the whole interval."""
     tau, gates = CHUNK_CASES[case]
-    n_blocks = -(-CHUNK_US // tau)
-    rate = np.random.default_rng(3).standard_exponential(n_blocks) * 1e-3
-    rate[1::2] = 0.0
-    rng = np.random.default_rng(5)
-    ((times, _),) = _blocked_rate_times([rng], (1.0,), rate, tau, CHUNK_US, gates)
-    assert len(times) > 2000
-    assert (np.diff(times) >= 0).all()
-    if gates is None:
-        assert times[0] >= 0 and times[-1] < CHUNK_US
-    else:
-        assert in_gates(times, gates).all()
-    assert (rate[times // tau] > 0).all()
+    cfg = ThermalSourceConfig(mean_rate_hz=5e8, coherence_time_ps=tau)
+    stream = gen_thermal_arrivals(cfg, CHUNK_US, 5, gates)
+    for arm in (Arm.BEAM1, Arm.BEAM2):
+        times = stream.select_arm(arm).times
+        assert len(times) > 2000
+        assert (np.diff(times) >= 0).all()
+        if gates is None:
+            assert times[0] >= 0 and times[-1] < CHUNK_US
+        else:
+            assert in_gates(times, gates).all()
 
 
 def peak_of_one_call(config_name):
@@ -327,22 +327,24 @@ def peak_of_one_call(config_name):
 
 
 def test_shared_mode_peak_memory():
-    """One shared-mode call on thermal_bunched_short's ~10^6 gates stays under 25 MB.
+    """One shared-mode call on thermal_bunched_short's ~10^6 gates stays under 8 MB.
 
-    That is one 11.4 MB block array (the intensities), one 8 MB array over
-    the gates (their running mean), and slack; every full-length temporary
-    per gate would add 8 MB.
+    No array spans the blocks or the gates: the gate pass keeps the ~1% of
+    the gates that are not alone in their block, a chunk's temporaries are
+    0.5 MB, and the photons number ~10^4.  A full-length temporary per gate
+    would add 8 MB.
     """
-    assert peak_of_one_call("thermal_bunched_short") < 25e6
+    assert peak_of_one_call("thermal_bunched_short") < 8e6
 
 
 def test_shared_mode_peak_memory_long():
-    """One call on thermal_bunched_long's 1.43 x 10^7 blocks stays within 130 MiB.
+    """One call on thermal_bunched_long's 1.43 x 10^7 blocks stays within 48 MiB.
 
-    The block intensities are 109 MiB; a running mean over every block edge
-    would add as much again.
+    No array spans the blocks: its 10^5 gates each span ~100 blocks, and the
+    pass keeps a first piece and a tail per gate.  An array over the blocks
+    would add 109 MiB.
     """
-    assert peak_of_one_call("thermal_bunched_long") <= 130 * 2**20
+    assert peak_of_one_call("thermal_bunched_long") <= 48 * 2**20
 
 
 # Statistical equivalence: 1 ms acquisitions, 1 MHz gates of 100 ns,
@@ -462,3 +464,93 @@ class TestSharedModeEquivalence:
         k = COLUMNS.index(column)
         result = stats.ks_2samp(local[:, k], whole[:, k])
         assert result.pvalue > 1e-3, (column, result)
+
+
+def reference_counts(rng, config, duration_ps, gates):
+    """Per-block reference sampler: one exponential intensity per block, Poisson per arm.
+
+    Returns the in-gate counts per arm, the outside counts per arm and the
+    gates hit on both arms.  ``gates=None`` is the whole interval, one gate
+    with no outside.
+    """
+    lam, tau, q = config.mean_rate_hz * 1e-12, config.coherence_time_ps, config.splitting_ratio
+    n_blocks = -(-duration_ps // tau)
+    intensity = rng.standard_exponential(n_blocks)
+    opens, window = np.zeros(1, dtype=np.int64), duration_ps
+    if gates is not None:
+        opens, window = gates.opens, gates.window_ps
+    close = np.minimum(opens + window, duration_ps)
+    b0 = opens // tau
+    n = (close - 1) // tau - b0 + 1  # blocks per gate
+    gate = np.repeat(np.arange(len(opens)), n)
+    block = np.repeat(b0 - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    piece = np.minimum(close[gate], (block + 1) * tau) - np.maximum(opens[gate], block * tau)
+    mean = lam * piece * intensity[block]
+    k1, k2 = rng.poisson(q * mean), rng.poisson((1 - q) * mean)
+    both = (np.bincount(gate, k1, len(opens)) > 0) & (np.bincount(gate, k2, len(opens)) > 0)
+    out = 0.0
+    if gates is not None:
+        starts = np.arange(n_blocks) * tau
+        lengths = np.minimum(starts + tau, duration_ps) - starts
+        out = lam * ((lengths - np.bincount(block, piece, n_blocks)) * intensity).sum()
+    out1, out2 = rng.poisson(q * out), rng.poisson((1 - q) * out)
+    return [k1.sum(), k2.sum(), out1, out2, np.count_nonzero(both)]
+
+
+def sampled_counts(seed, config, duration_ps, gates):
+    """The same five counts of one ``gen_thermal_arrivals`` call."""
+    stream = gen_thermal_arrivals(config, duration_ps, seed, gates)
+    arms = [stream.select_arm(arm) for arm in (Arm.BEAM1, Arm.BEAM2)]
+    if gates is None:
+        both = int(all(len(a) for a in arms))
+    else:
+        hit = []
+        for a in arms:
+            h = np.zeros(len(gates), dtype=bool)
+            h[np.searchsorted(gates.opens, a.times, side="right") - 1] = True
+            hit.append(h)
+        both = np.count_nonzero(hit[0] & hit[1])
+    return [len(arms[0]), len(arms[1]), arms[0].unplaced, arms[1].unplaced, both]
+
+
+# Four setups of 1-4 ms, splitting ratio 0.4.
+SHORT_LIKE_GATES = make_gates_periodic(1003009.0270812437, 2 * MS, 7000)
+SHARED_BLOCK_GATES = make_gates_periodic(1e12 / 997_000, 4 * MS, 100_000)
+REFERENCE_SETUPS = {
+    # thermal_bunched_short's geometry at ten times its rate
+    "short_like": (1.4285714e7, 700_000, 2 * MS, SHORT_LIKE_GATES),
+    # thermal_bunched_long's geometry at ten times its rate
+    "long_like": (2.857143e5, 70_000, 2 * MS, make_gates_periodic(1e5, 2 * MS, 7_000_000)),
+    # 100 ns gates every 997 ns in 1 us blocks: ~11% of the gates reach into
+    # a block another gate opens in; the last gate is clipped
+    "shared_blocks": (2e7, 1_000_000, 4 * MS, SHARED_BLOCK_GATES),
+    # the whole interval, its last block clipped to 700 ns
+    "whole_interval": (2e7, 1_000_000, MS - 300_000, None),
+}
+REFERENCE_SEEDS = 300
+REFERENCE_COLUMNS = ["in1", "in2", "out1", "out2", "both"]
+
+
+@pytest.fixture(scope="module", params=list(REFERENCE_SETUPS))
+def reference_samples(request):
+    """(sampler, reference) counts of one setup, one row per seed."""
+    rate, tau, duration, gates = REFERENCE_SETUPS[request.param]
+    cfg = ThermalSourceConfig(mean_rate_hz=rate, coherence_time_ps=tau, splitting_ratio=0.4)
+    rng = np.random.default_rng(2024)
+    sampler = [sampled_counts(s, cfg, duration, gates) for s in range(REFERENCE_SEEDS)]
+    reference = [reference_counts(rng, cfg, duration, gates) for _ in range(REFERENCE_SEEDS)]
+    return np.array(sampler, dtype=float), np.array(reference, dtype=float)
+
+
+@pytest.mark.parametrize("column", REFERENCE_COLUMNS)
+def test_block_counts_match_the_per_block_reference(reference_samples, column):
+    """Two-sample KS and mean z against a sampler that draws every block's intensity."""
+    sampler, reference = (x[:, REFERENCE_COLUMNS.index(column)] for x in reference_samples)
+    if sampler.var() == reference.var() == 0:  # the outside of the whole interval
+        assert sampler[0] == reference[0]
+        return
+    assert stats.ks_2samp(sampler, reference).pvalue > 1e-3
+    z = (sampler.mean() - reference.mean()) / np.sqrt(
+        (sampler.var() + reference.var()) / REFERENCE_SEEDS
+    )
+    assert abs(z) < 4

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coincsim import gating
 from coincsim.errors import ConfigError
 from coincsim.events import Channel, EventStream, derive_seed, merge_streams
 from coincsim.gating import (
@@ -114,6 +115,14 @@ class TestGatesPeriodic:
         assert g.window_ps == window_ps
         # the answer seeded at construction agrees with the scan over the openings
         assert g.disjoint == bool(np.all(np.diff(g.opens) >= window_ps))
+
+    def test_chunked_build_matches_one_shot(self, monkeypatch):
+        # 87 openings: twelve chunks of 7 and a final partial chunk of 3
+        monkeypatch.setattr(gating, "GATE_CHUNK", 7)
+        rate_hz, duration_ps = 1e12 / 997_000.3, 86 * 997_000
+        g = make_gates_periodic(rate_hz, duration_ps, window_ps=500)
+        assert len(g) == 86
+        np.testing.assert_array_equal(g.opens, periodic_opens_reference(rate_hz, duration_ps))
 
     def test_window_within_a_tick_of_the_period_rejected(self):
         # with a window less than 1 ps under the period, two rounded openings
