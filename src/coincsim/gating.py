@@ -131,7 +131,8 @@ def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> Gat
     opens = np.empty(n, dtype=np.int64)
     for s in range(0, n, GATE_CHUNK):
         ideal = np.arange(s, min(s + GATE_CHUNK, n), dtype=np.float64)
-        opens[s : s + GATE_CHUNK] = np.rint(ideal * period_ps)
+        ideal *= period_ps
+        opens[s : s + GATE_CHUNK] = np.rint(ideal, out=ideal)
     gates = GateList(window_ps, opens[: np.searchsorted(opens, duration_ps)])
     vars(gates)["disjoint"] = True
     return gates
