@@ -193,7 +193,8 @@ def main(argv: list[str] | None = None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     # CPU seconds beside the wall-clock metrics.  A run is time-boxed, so its
     # CPU seconds fall when its processes wait off the CPU: a wall-clock move
-    # with them unchanged is work, one with them is waiting.  No gate reads them.
+    # with them unchanged is work, one where they fall too is waiting.  No
+    # gate reads them.
     metrics = bench["end_to_end"] + [{"name": "cpu_s", "unit": "s", "better": "lower"}]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision the head is paired against")

@@ -443,14 +443,14 @@ def _shared_mode_times(
         return t, 0
     last = (duration_ps - 1) // tau
     edge_blocks = blocks[edges]
-    last_lit = int(len(edges) > 0 and edge_blocks[-1] == last)
+    last_gated = int(len(edges) > 0 and edge_blocks[-1] == last)
     length = np.minimum((edge_blocks + 1) * tau, duration_ps) - edge_blocks * tau
     n_simple = len(opens) - len(odd)
-    unlit = last - n_simple - n_in - len(edges) + last_lit
+    ungated = last - n_simple - n_in - len(edges) + last_gated
     weight = float(((length - c) * intensity).sum())
     weight += (tau - window) * rng.standard_gamma(n_simple + k_simple.sum()) / (1 + lam * window)
-    weight += tau * rng.standard_gamma(unlit)
-    weight += (duration_ps - last * tau) * rng.standard_gamma(1 - last_lit)
+    weight += tau * rng.standard_gamma(ungated)
+    weight += (duration_ps - last * tau) * rng.standard_gamma(1 - last_gated)
     return t, int(rng.poisson(lam * weight))
 
 
@@ -463,11 +463,10 @@ def gen_thermal_arrivals(
     block truncated), each with its own exponential intensity that scales
     the rate of *both* arms; given the intensities, the two arms are
     independent Poisson processes.  The common intensity is what correlates
-    the arms.  The photons of the one mode are drawn per block without the
-    intensities (``_shared_mode_times``), and each goes to BEAM1 with
-    probability ``splitting_ratio``.  The arrivals outside the gates
-    (default ``None``: the whole interval) are only counted, per arm, in
-    ``unplaced_by_key``.
+    the arms.  The mode's photons are drawn per group of alike blocks
+    (``_shared_mode_times``), each to BEAM1 with probability
+    ``splitting_ratio``.  The arrivals outside the gates (default ``None``:
+    the whole interval) are only counted, per arm, in ``unplaced_by_key``.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
