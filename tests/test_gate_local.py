@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from coincsim import gating, sources
+from coincsim import gating
 from coincsim.detectors import DetectorConfig, detect
 from coincsim.errors import ConfigError
 from coincsim.events import Channel, derive_seed
