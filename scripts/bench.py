@@ -12,8 +12,8 @@ files are not in it, and the record's provenance lists them.
 Which side goes first alternates from seed to seed, so slow drift of the
 machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
-of ``BENCHMARK.json`` and the CPU seconds of the run (``cpu_s``: the harness
-and its workers), the head/base ratio of every pair with its median and
+of ``BENCHMARK.json``, the CPU seconds of the run (``cpu_s``: the harness
+and its workers) and its wall seconds (``wall_s``), the head/base ratio of every pair with its median and
 the number of pairs the head won, the failed operations, and whether the two
 sides' digests match; its provenance names both commits.  After the pairs,
 one ``--trace 1`` run per workload and side (seed 1, the first side
@@ -93,15 +93,15 @@ def run_once(
     """One run of ``tree``'s benchmark: (report, result) from its last two lines.
 
     The result's metrics gain ``cpu_s``, the CPU seconds of the harness and
-    of the workers it reaped.
+    of the workers it reaped, and ``wall_s``, the run's elapsed seconds.
     """
     cmd = [
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
-    cpu_s = child_cpu_s()
+    cpu_s, wall_s = child_cpu_s(), time.perf_counter()
     returncode, stdout, stderr = run_group(cmd, tree)
-    cpu_s = child_cpu_s() - cpu_s
+    cpu_s, wall_s = child_cpu_s() - cpu_s, time.perf_counter() - wall_s
     lines = stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
     if returncode not in (0, 1) or len(lines) < 2:
@@ -111,6 +111,7 @@ def run_once(
         )
     result = json.loads(lines[-1])
     result["metrics"]["cpu_s"] = {"value": cpu_s, "unit": "s"}
+    result["metrics"]["wall_s"] = {"value": wall_s, "unit": "s"}
     return json.loads(lines[-2])["report"], result
 
 
@@ -194,8 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     # CPU seconds beside the wall-clock metrics.  A run is time-boxed, so its
     # CPU seconds fall when its processes wait off the CPU: a wall-clock move
     # with them unchanged is work, one where they fall too is waiting.  No
-    # gate reads them.
-    metrics = bench["end_to_end"] + [{"name": "cpu_s", "unit": "s", "better": "lower"}]
+    # gate reads them.  Wall seconds show how close a whole run (set-up,
+    # timed and, with --trace 1, traced half) comes to run.py's deadline.
+    metrics = bench["end_to_end"] + [
+        {"name": name, "unit": "s", "better": "lower"} for name in ("cpu_s", "wall_s")
+    ]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision the head is paired against")
     parser.add_argument("--label", required=True, help="the record is BENCH_<label>.json")

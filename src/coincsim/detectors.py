@@ -3,11 +3,11 @@
 Turns an arrival stream into an electronic event stream in four stages, in
 this order:
 
-1. quantum-efficiency thinning (one uniform draw per arrival, so the set of
-   kept photons at a lower efficiency is a subset of the set kept at a higher
-   one under the same seed),
-2. Gaussian timing jitter on the kept photo-events (rounded to integer
-   picoseconds, clamped into the observation interval, re-sorted),
+1. quantum-efficiency thinning (one uniform draw per arrival, drawn a chunk
+   at a time, so the set of kept photons at a lower efficiency is a subset
+   of the set kept at a higher one under the same seed),
+2. Gaussian timing jitter on the kept photo-events (drawn a chunk at a time,
+   rounded to integer picoseconds, clamped into the interval, re-sorted),
 3. merge with an independent Poisson dark-count stream,
 4. non-paralyzable dead-time filtering of the merged output.
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .events import Channel, EventStream, derive_seed, filter_min_separation
-from .sources import ArrivalStream, _poisson_times
+from .sources import ArrivalStream, _below, _jittered, _poisson_times
 
 __all__ = ["DetectorConfig", "detect"]
 
@@ -71,23 +71,17 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
         )
     n = len(arrivals)
 
-    if config.efficiency >= 1.0:
-        kept = arrivals.times.copy()
-    elif config.efficiency <= 0.0 or n == 0:
+    kept = arrivals.times  # read-only, so the output may share it
+    if config.efficiency <= 0.0 or n == 0:
         kept = np.empty(0, dtype=np.int64)
-    else:
-        u = np.random.default_rng(derive_seed(seed, "thin")).random(n)
+    elif config.efficiency < 1.0:
+        thin = _below(np.random.default_rng(derive_seed(seed, "thin")), n, config.efficiency)
         # compress, not a boolean index: a random mask defeats branch prediction.
-        kept = arrivals.times.compress(u < config.efficiency)
+        kept = kept.compress(thin)
 
     if config.jitter_sigma_ps > 0 and len(kept):
         jit = np.random.default_rng(derive_seed(seed, "jitter"))
-        offsets = np.rint(jit.normal(0.0, config.jitter_sigma_ps, size=len(kept)))
-        # an offset past the interval lands on its edge either way; clipped, it fits int64
-        np.clip(offsets, -duration, duration, out=offsets)
-        kept = kept + offsets.astype(np.int64)
-        np.clip(kept, 0, duration - 1, out=kept)
-        kept.sort()
+        kept = _jittered(jit, kept, config.jitter_sigma_ps, duration)
 
     kept_outside = arrivals.unplaced
     if kept_outside and config.efficiency < 1.0:

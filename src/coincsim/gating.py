@@ -34,9 +34,11 @@ __all__ = [
 ]
 
 
-# Gates built or scanned together here and in ``sources``.  Full-length
-# temporaries (8 MB per 10^6 gates) would be fresh memory on every call,
-# paying a page fault per 4 kB and a DRAM pass per operation; one chunk's
+# Gates built or scanned together here and in ``sources``, and random draws
+# made together in one pass over arrivals (the thinning uniforms and jitter
+# offsets of ``sources`` and ``detectors``).  Full-length temporaries (8 MB
+# per 10^6 gates or draws) would be fresh memory on every call, paying a
+# page fault per 4 kB and a DRAM pass per operation; one chunk's
 # temporaries stay in cache.
 GATE_CHUNK = 1 << 16
 
@@ -152,6 +154,7 @@ class CountSummary:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
+            object.__setattr__(self, name, int(v))  # a plain int, so the counts dump to JSON
 
     def __add__(self, other: "CountSummary") -> "CountSummary":
         if not isinstance(other, CountSummary):

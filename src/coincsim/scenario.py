@@ -445,8 +445,10 @@ def _acquire_pdc(config, source: PdcSourceConfig, seed, gates: None) -> _AcqTota
     trig_arr, idler = gen_pdc_pairs(source, config.acquisition_duration_ps, seed("source"))
     paths = project_idler_path(idler, seed("path"))
     trig_ev = detect(trig_arr, config.trigger, seed("det-t"))
+    del trig_arr, idler  # consumed: gate building and counting need only the detections
     d1_ev = detect(paths.select_arm(Arm.IDLER_PATH1), config.d1, seed("det-d1"))
     d2_ev = detect(paths.select_arm(Arm.IDLER_PATH2), config.d2, seed("det-d2"))
+    del paths
     trig_gates = make_gates_from_trigger(trig_ev, config.window_ps, config.gate_policy)
     counts = count_gates(trig_gates, d1_ev, d2_ev)
     return _AcqTotals(counts, len(trig_ev), len(d1_ev), len(d2_ev))

@@ -3,7 +3,8 @@
 Four source models are implemented:
 
 * ``pdc``: a parametric-downconversion pair source.  Signal photons go to the
-  heralding arm; each idler is later projected onto exactly one of two output
+  heralding arm; each idler (without pair jitter, the same read-only time
+  array as the signal's) is later projected onto exactly one of two output
   paths of a polarization splitter (:func:`project_idler_path`).  Because a
   single photon takes one path or the other, true coincidences between the two
   paths vanish and only accidentals remain.
@@ -279,6 +280,29 @@ def _poisson_times(
     return t, n - n_in
 
 
+def _below(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """``rng.random(n) < p``, from the same uniforms drawn one chunk at a time."""
+    out, u = np.empty(n, dtype=bool), np.empty(min(n, gating.GATE_CHUNK))
+    for s in range(0, n, gating.GATE_CHUNK):
+        part = rng.random(out=u[: min(gating.GATE_CHUNK, n - s)])
+        np.less(part, p, out=out[s : s + len(part)])
+    return out
+
+
+def _jittered(rng, times: np.ndarray, sigma: float, duration_ps: int) -> np.ndarray:
+    """``times`` plus rounded Normal(0, sigma) offsets drawn a chunk at a time, clamped, sorted."""
+    out = np.empty(len(times), dtype=np.int64)
+    for s in range(0, len(times), gating.GATE_CHUNK):
+        part = out[s : s + gating.GATE_CHUNK]
+        offsets = np.rint(rng.normal(0.0, sigma, size=len(part)))
+        # an offset past the interval lands on its edge either way; clipped, it fits int64
+        part[:] = np.clip(offsets, -duration_ps, duration_ps, out=offsets)
+        part += times[s : s + gating.GATE_CHUNK]
+    np.clip(out, 0, duration_ps - 1, out=out)
+    out.sort()
+    return out
+
+
 def gen_poisson_arrivals(
     rate_hz: float,
     duration_ps: int,
@@ -308,21 +332,17 @@ def gen_pdc_pairs(
     Pair creation times are Poisson at ``pair_rate_hz``.  The trigger stream
     holds the signal photons; the idler stream holds one partner per signal,
     offset by a rounded Gaussian jitter draw when ``pair_jitter_ps > 0``
-    (clamped into the observation interval, then re-sorted).
+    (clamped into the observation interval, then re-sorted), else at the
+    same times: both streams then hold the one read-only array.
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
     rng = np.random.default_rng(derive_seed(seed, "pair-times"))
     t_sig, _ = _poisson_times(rng, config.pair_rate_hz, duration_ps)
+    t_idl = t_sig  # one read-only array for both arms
     if config.pair_jitter_ps > 0 and len(t_sig):
         jit_rng = np.random.default_rng(derive_seed(seed, "pair-jitter"))
-        offsets = np.rint(jit_rng.normal(0.0, config.pair_jitter_ps, size=len(t_sig)))
-        # an offset past the interval lands on its edge either way; clipped, it fits int64
-        np.clip(offsets, -duration_ps, duration_ps, out=offsets)
-        t_idl = np.clip(t_sig + offsets.astype(np.int64), 0, duration_ps - 1)
-        t_idl.sort()
-    else:
-        t_idl = t_sig.copy()
+        t_idl = _jittered(jit_rng, t_sig, config.pair_jitter_ps, duration_ps)
     trigger = ArrivalStream(duration_ps, {Arm.TRIGGER_ARM: t_sig})
     idler = ArrivalStream(duration_ps, {Arm.IDLER_UNDECIDED: t_idl})
     return trigger, idler
@@ -339,7 +359,7 @@ def project_idler_path(idler: ArrivalStream, seed: int) -> ArrivalStream:
     if idler.unplaced:
         raise ValueError("unplaced arrivals carry no time and cannot be projected")
     times = idler.times
-    take1 = np.random.default_rng(seed).random(len(times)) < 0.5
+    take1 = _below(np.random.default_rng(seed), len(times), 0.5)
     # compress, not a boolean index: a random mask defeats branch prediction.
     paths = {Arm.IDLER_PATH1: times.compress(take1), Arm.IDLER_PATH2: times.compress(~take1)}
     return ArrivalStream(idler.duration_ps, paths, idler.gates)
@@ -474,7 +494,7 @@ def gen_thermal_arrivals(
     lam, tau = config.mean_rate_hz * 1e-12, int(config.coherence_time_ps)
     t, n_out = _shared_mode_times(rng, lam, tau, duration_ps, gates)
     q = config.splitting_ratio
-    arm1 = rng.random(len(t)) < q
+    arm1 = _below(rng, len(t), q)
     out1 = int(rng.binomial(n_out, q))
     times = {Arm.BEAM1: t.compress(arm1), Arm.BEAM2: t.compress(~arm1)}
     return ArrivalStream(duration_ps, times, gates, {Arm.BEAM1: out1, Arm.BEAM2: n_out - out1})

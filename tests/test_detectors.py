@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -186,3 +187,25 @@ def test_detector_output_always_valid(rate, eff, dark, dead, jitter, seed):
     assert_canonical(out)
     if dead > 0 and len(out) > 1:
         assert np.diff(out.times).min() >= dead
+
+
+@pytest.mark.parametrize("efficiency, jitter, bound", [(0.5, 0.0, 11.0), (1.0, 50.0, 20.0)])
+def test_detect_bytes_per_arrival(efficiency, jitter, bound):
+    """tracemalloc peak of one ``detect`` over 10^6 arrivals, not counting the input.
+
+    The thinning uniforms and jitter offsets are drawn a chunk at a time, so
+    no float64 spans the arrivals: thinning leaves a 1-byte mask and the
+    kept times (~9 B), jitter one int64 output (~8 B).  Before, they took
+    17 and 24 B.
+    """
+    n = 10**6
+    src = arrivals_at(np.sort(np.random.default_rng(1).integers(0, MS, n)))
+    cfg = DetectorConfig(channel=Channel.D1, efficiency=efficiency, jitter_sigma_ps=jitter)
+    tracemalloc.start()
+    try:
+        out = detect(src, cfg, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 0
+    assert peak / n <= bound

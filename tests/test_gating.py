@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +191,12 @@ class TestCountGates:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CountSummary(n_gates=1, n1=-1, n2=0, nc=0)
+
+    def test_numpy_counts_stored_as_plain_ints(self):
+        # the benchmark worker json-dumps astuple(counts); np.int64 would raise there
+        c = CountSummary(np.int64(3), np.int32(2), np.uint8(1), 0)
+        assert all(type(v) is int for v in dataclasses.astuple(c))
+        assert json.loads(json.dumps(dataclasses.astuple(c))) == [3, 2, 1, 0]
 
 
 @st.composite

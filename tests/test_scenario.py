@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -662,3 +663,26 @@ class TestEstimateShape:
         (pt,) = res.points
         assert pt.estimate.counts == pt.counts
         assert isinstance(res.overall, AlphaEstimate)
+
+
+def test_heralded_acquisition_peak_memory():
+    """One acquisition at pdc_sweep's top point (~2 x 10^5 pairs) peaks under 5.5 MiB.
+
+    Both arms share one pair array, the splitter and detectors draw a chunk
+    at a time, and the pair streams are dropped once detected and split:
+    ~23 B per pair, where the full-length copies took ~41 B (7.9 MiB).
+    """
+    config = parse_config((CONFIGS / "pdc_sweep.cfg").read_text())
+    config = dataclasses.replace(
+        config, multipliers=(max(config.multipliers),), acquisitions=1,
+        acquisitions_per_point=None, overall_points=None,
+    )
+    assert config.acquisition_duration_ps == 10**12
+    tracemalloc.start()
+    try:
+        result = run_scenario(config, jobs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.points[0].counts.n_gates > 50_000
+    assert peak <= 5.5 * 2**20

@@ -101,12 +101,13 @@ def test_bench_writes_record(tmp_path):
     for name in ("base", "head"):
         side = entry[name]
         assert side["failed"] == 0 and len(side["digests"]) == 1
-        for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s"):
+        for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s", "wall_s"):
             assert side[metric]["median"] > 0 and side[metric]["iqr"] == 0
-        # one traced run per side: the per-layer split
+        # one traced run per side: the per-layer split, and its wall seconds
         assert side["layers"]["sources.gen_ms"] > 0
+        assert side["layers"]["wall_s"] > 0
         assert side["layers"]["fail_frac"] == 0
-    for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s"):
+    for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s", "wall_s"):
         pair = entry["pairs"][metric]
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
         assert pair["head_won"] in (0, 1)

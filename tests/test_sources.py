@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from coincsim import gating
 from coincsim.errors import ConfigError
 from coincsim.gating import make_gates_periodic
 from coincsim.sources import (
@@ -22,6 +23,7 @@ from coincsim.sources import (
     gen_thermal_arrivals,
     project_idler_path,
 )
+from coincsim.sources import _below, _jittered
 
 from stat_helpers import assert_canonical, poisson_chisq_pvalue
 
@@ -85,6 +87,8 @@ class TestPdcPairs:
     def test_times_identical_without_jitter(self):
         trig, idl = gen_pdc_pairs(PdcSourceConfig(pair_rate_hz=3e5), MS, seed=5)
         assert np.array_equal(trig.times, idl.times)
+        # one read-only array serves both arms
+        assert idl.times is trig.times and not trig.times.flags.writeable
         assert trig.select_arm(Arm.TRIGGER_ARM) == trig
         assert idl.select_arm(Arm.IDLER_UNDECIDED) == idl
 
@@ -123,6 +127,37 @@ class TestPdcPairs:
             PdcSourceConfig(pair_rate_hz=-5.0)
         with pytest.raises(ConfigError):
             PdcSourceConfig(pair_rate_hz=1e4, pair_jitter_ps=-1.0)
+
+
+@pytest.mark.parametrize("chunk", [7, gating.GATE_CHUNK])
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 29])
+class TestChunkedDraws:
+    """Draws made a chunk at a time equal the one-shot draws they replace.
+
+    No shipped config has jitter, so no golden covers the jitter paths; these
+    keep them identical.
+    """
+
+    def test_thinning_is_the_one_shot_mask(self, n, chunk, monkeypatch):
+        monkeypatch.setattr(gating, "GATE_CHUNK", chunk)
+        for p in (0.0, 0.3, 0.5, 1.0):
+            got = _below(np.random.default_rng(11), n, p)
+            assert got.dtype == bool
+            assert np.array_equal(got, np.random.default_rng(11).random(n) < p)
+
+    @pytest.mark.parametrize("sigma", [40.0, 1e30])
+    def test_jitter_is_the_one_shot_formula(self, n, chunk, sigma, monkeypatch):
+        monkeypatch.setattr(gating, "GATE_CHUNK", chunk)
+        times = np.sort(np.random.default_rng(n).integers(0, MS, n))
+        got = _jittered(np.random.default_rng(12), times, sigma, MS)
+        offsets = np.rint(np.random.default_rng(12).normal(0.0, sigma, size=n))
+        np.clip(offsets, -MS, MS, out=offsets)
+        expected = np.clip(times + offsets.astype(np.int64), 0, MS - 1)
+        expected.sort()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        if sigma == 1e30:
+            assert set(got.tolist()) <= {0, MS - 1}
 
 
 class TestProjectIdlerPath:
