@@ -13,9 +13,10 @@ Which side goes first alternates from seed to seed, so slow drift of the
 machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
 of ``BENCHMARK.json``, the CPU seconds of the run (``cpu_s``: the harness
-and its workers) and its wall seconds (``wall_s``), the head/base ratio of every pair with its median and
-the number of pairs the head won, the failed operations, and whether the two
-sides' digests match; its provenance names both commits.  After the pairs,
+and its workers) and its wall seconds (``wall_s``), the head/base ratio of
+every pair with its median and the number of pairs the head won, the
+failed operations, and whether the two sides' digests match; its
+provenance names both commits.  After the pairs,
 one ``--trace 1`` run per workload and side (seed 1, the first side
 alternating from workload to workload) adds that side's per-layer metrics
 under ``layers``, so the record shows which layer moved; one run per side

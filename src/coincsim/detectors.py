@@ -80,8 +80,7 @@ def detect(arrivals: ArrivalStream, config: DetectorConfig, seed: int) -> EventS
         kept = kept.compress(thin)
 
     if config.jitter_sigma_ps > 0 and len(kept):
-        jit = np.random.default_rng(derive_seed(seed, "jitter"))
-        kept = _jittered(jit, kept, config.jitter_sigma_ps, duration)
+        kept = _jittered(derive_seed(seed, "jitter"), kept, config.jitter_sigma_ps, duration)
 
     kept_outside = arrivals.unplaced
     if kept_outside and config.efficiency < 1.0:

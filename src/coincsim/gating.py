@@ -34,12 +34,10 @@ __all__ = [
 ]
 
 
-# Gates built or scanned together here and in ``sources``, and random draws
-# made together in one pass over arrivals (the thinning uniforms and jitter
-# offsets of ``sources`` and ``detectors``).  Full-length temporaries (8 MB
-# per 10^6 gates or draws) would be fresh memory on every call, paying a
-# page fault per 4 kB and a DRAM pass per operation; one chunk's
-# temporaries stay in cache.
+# Gates built or scanned, or arrivals drawn for and selected, together here,
+# in ``sources`` and in ``detectors``.  Full-length temporaries (8 MB per 10^6
+# gates or arrivals) would be fresh memory on every call, paying a page fault
+# per 4 kB and a DRAM pass per operation; one chunk's temporaries stay in cache.
 GATE_CHUNK = 1 << 16
 
 

@@ -3,11 +3,11 @@
 Four source models are implemented:
 
 * ``pdc``: a parametric-downconversion pair source.  Signal photons go to the
-  heralding arm; each idler (without pair jitter, the same read-only time
-  array as the signal's) is later projected onto exactly one of two output
+  heralding arm; each idler is later projected onto exactly one of two output
   paths of a polarization splitter (:func:`project_idler_path`).  Because a
   single photon takes one path or the other, true coincidences between the two
-  paths vanish and only accidentals remain.
+  paths vanish and only accidentals remain.  Without pair jitter, the idler
+  shares the signal's read-only time array.
 * ``coherent``: two independent Poisson beams, one per splitter output.  The
   intensity carries no memory, so gated counting on the two outputs factorizes
   exactly.
@@ -283,21 +283,28 @@ def _poisson_times(
 def _below(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """``rng.random(n) < p``, from the same uniforms drawn one chunk at a time."""
     out, u = np.empty(n, dtype=bool), np.empty(min(n, gating.GATE_CHUNK))
-    for s in range(0, n, gating.GATE_CHUNK):
-        part = rng.random(out=u[: min(gating.GATE_CHUNK, n - s)])
-        np.less(part, p, out=out[s : s + len(part)])
+    for s in range(0, n, gating.GATE_CHUNK):  # the last chunk's slices end at n
+        np.less(rng.random(out=u[: n - s]), p, out=out[s : s + len(u)])
     return out
 
 
-def _jittered(rng, times: np.ndarray, sigma: float, duration_ps: int) -> np.ndarray:
+def _compress(times: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``times.compress(mask)`` (a random mask defeats a boolean index), a chunk at a time."""
+    out, k, chunk = np.empty(np.count_nonzero(mask), dtype=np.int64), 0, gating.GATE_CHUNK
+    for s in range(0, len(times), chunk):
+        c = np.count_nonzero(mask[s : s + chunk])
+        np.compress(mask[s : s + chunk], times[s : s + chunk], out=out[k : k + c])
+        k += c
+    return out
+
+
+def _jittered(seed: int, times: np.ndarray, sigma: float, duration_ps: int) -> np.ndarray:
     """``times`` plus rounded Normal(0, sigma) offsets drawn a chunk at a time, clamped, sorted."""
-    out = np.empty(len(times), dtype=np.int64)
-    for s in range(0, len(times), gating.GATE_CHUNK):
-        part = out[s : s + gating.GATE_CHUNK]
-        offsets = np.rint(rng.normal(0.0, sigma, size=len(part)))
+    rng, out, chunk = np.random.default_rng(seed), times.copy(), gating.GATE_CHUNK
+    for s in range(0, len(out), chunk):
+        offsets = np.rint(rng.normal(0.0, sigma, size=min(chunk, len(out) - s)))
         # an offset past the interval lands on its edge either way; clipped, it fits int64
-        part[:] = np.clip(offsets, -duration_ps, duration_ps, out=offsets)
-        part += times[s : s + gating.GATE_CHUNK]
+        out[s : s + chunk] += np.clip(offsets, -duration_ps, duration_ps).astype(np.int64)
     np.clip(out, 0, duration_ps - 1, out=out)
     out.sort()
     return out
@@ -332,17 +339,15 @@ def gen_pdc_pairs(
     Pair creation times are Poisson at ``pair_rate_hz``.  The trigger stream
     holds the signal photons; the idler stream holds one partner per signal,
     offset by a rounded Gaussian jitter draw when ``pair_jitter_ps > 0``
-    (clamped into the observation interval, then re-sorted), else at the
-    same times: both streams then hold the one read-only array.
+    (clamped into the observation interval, then re-sorted).
     """
     if duration_ps <= 0:
         raise ConfigError("duration_ps must be positive")
     rng = np.random.default_rng(derive_seed(seed, "pair-times"))
     t_sig, _ = _poisson_times(rng, config.pair_rate_hz, duration_ps)
     t_idl = t_sig  # one read-only array for both arms
-    if config.pair_jitter_ps > 0 and len(t_sig):
-        jit_rng = np.random.default_rng(derive_seed(seed, "pair-jitter"))
-        t_idl = _jittered(jit_rng, t_sig, config.pair_jitter_ps, duration_ps)
+    if (sigma := config.pair_jitter_ps) > 0 and len(t_sig):
+        t_idl = _jittered(derive_seed(seed, "pair-jitter"), t_sig, sigma, duration_ps)
     trigger = ArrivalStream(duration_ps, {Arm.TRIGGER_ARM: t_sig})
     idler = ArrivalStream(duration_ps, {Arm.IDLER_UNDECIDED: t_idl})
     return trigger, idler
@@ -360,8 +365,7 @@ def project_idler_path(idler: ArrivalStream, seed: int) -> ArrivalStream:
         raise ValueError("unplaced arrivals carry no time and cannot be projected")
     times = idler.times
     take1 = _below(np.random.default_rng(seed), len(times), 0.5)
-    # compress, not a boolean index: a random mask defeats branch prediction.
-    paths = {Arm.IDLER_PATH1: times.compress(take1), Arm.IDLER_PATH2: times.compress(~take1)}
+    paths = {Arm.IDLER_PATH1: _compress(times, take1), Arm.IDLER_PATH2: _compress(times, ~take1)}
     return ArrivalStream(idler.duration_ps, paths, idler.gates)
 
 

@@ -23,7 +23,7 @@ from coincsim.sources import (
     gen_thermal_arrivals,
     project_idler_path,
 )
-from coincsim.sources import _below, _jittered
+from coincsim.sources import _below, _compress, _jittered
 
 from stat_helpers import assert_canonical, poisson_chisq_pvalue
 
@@ -145,11 +145,17 @@ class TestChunkedDraws:
             assert got.dtype == bool
             assert np.array_equal(got, np.random.default_rng(11).random(n) < p)
 
+    def test_chunked_compress_is_compress(self, n, chunk, monkeypatch):
+        monkeypatch.setattr(gating, "GATE_CHUNK", chunk)
+        times = np.arange(n, dtype=np.int64) * 3
+        for mask in (np.random.default_rng(n).random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool)):
+            assert np.array_equal(_compress(times, mask), times.compress(mask))
+
     @pytest.mark.parametrize("sigma", [40.0, 1e30])
     def test_jitter_is_the_one_shot_formula(self, n, chunk, sigma, monkeypatch):
         monkeypatch.setattr(gating, "GATE_CHUNK", chunk)
         times = np.sort(np.random.default_rng(n).integers(0, MS, n))
-        got = _jittered(np.random.default_rng(12), times, sigma, MS)
+        got = _jittered(12, times, sigma, MS)
         offsets = np.rint(np.random.default_rng(12).normal(0.0, sigma, size=n))
         np.clip(offsets, -MS, MS, out=offsets)
         expected = np.clip(times + offsets.astype(np.int64), 0, MS - 1)
