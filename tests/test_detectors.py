@@ -194,9 +194,9 @@ def test_detect_bytes_per_arrival(efficiency, jitter, bound):
     """tracemalloc peak of one ``detect`` over 10^6 arrivals, not counting the input.
 
     The thinning uniforms and jitter offsets are drawn a chunk at a time, so
-    no float64 spans the arrivals: thinning leaves a 1-byte mask and the
-    kept times (~9 B), jitter one int64 output (~8 B).  Before, they took
-    17 and 24 B.
+    no float64 spans the arrivals.  Thinning leaves a 1-byte mask,
+    compress's index temporary and the kept times (~9 B at 0.5); jitter
+    leaves one int64 output (~9.6 B).  Before, they took 17 and 24 B.
     """
     n = 10**6
     src = arrivals_at(np.sort(np.random.default_rng(1).integers(0, MS, n)))
