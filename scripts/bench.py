@@ -13,11 +13,11 @@ Which side goes first alternates from seed to seed, so slow drift of the
 machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
 of ``BENCHMARK.json``, the CPU seconds of the run (``cpu_s``: the harness
-and its workers) and its wall seconds (``wall_s``), the head/base ratio of
-every pair with its median and the number of pairs the head won, the
-failed operations, and whether the two sides' digests match; its
-provenance names both commits.  After the pairs,
-one ``--trace 1`` run per workload and side (seed 1, the first side
+and its workers), their minor page faults (``minflt``) and the run's wall
+seconds (``wall_s``), the head/base ratio of every pair with its median and
+the number of pairs the head won, the failed operations, and whether the
+two sides' digests match; its provenance names both commits.  After the
+pairs, one ``--trace 1`` run per workload and side (seed 1, the first side
 alternating from workload to workload) adds that side's per-layer metrics
 under ``layers``, so the record shows which layer moved; one run per side
 resolves only moves of about 20% or more.  A record of every workload (no
@@ -82,10 +82,11 @@ def run_group(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[int, 
     return proc.returncode, stdout, stderr
 
 
-def child_cpu_s() -> float:
-    """User plus system CPU seconds of every child reaped so far, and of theirs."""
+def child_usage() -> tuple[float, int]:
+    """User plus system CPU seconds, and minor page faults, of every child
+    reaped so far, and of theirs."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
 def run_once(
@@ -93,16 +94,18 @@ def run_once(
 ) -> tuple[dict, dict]:
     """One run of ``tree``'s benchmark: (report, result) from its last two lines.
 
-    The result's metrics gain ``cpu_s``, the CPU seconds of the harness and
-    of the workers it reaped, and ``wall_s``, the run's elapsed seconds.
+    The result's metrics gain ``cpu_s`` and ``minflt``, the CPU seconds and
+    minor page faults of the harness and of the workers it reaped, and
+    ``wall_s``, the run's elapsed seconds.
     """
     cmd = [
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
-    cpu_s, wall_s = child_cpu_s(), time.perf_counter()
+    start, wall_s = child_usage(), time.perf_counter()
     returncode, stdout, stderr = run_group(cmd, tree)
-    cpu_s, wall_s = child_cpu_s() - cpu_s, time.perf_counter() - wall_s
+    end, wall_s = child_usage(), time.perf_counter() - wall_s
+    cpu_s, minflt = end[0] - start[0], end[1] - start[1]
     lines = stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
     if returncode not in (0, 1) or len(lines) < 2:
@@ -112,6 +115,7 @@ def run_once(
         )
     result = json.loads(lines[-1])
     result["metrics"]["cpu_s"] = {"value": cpu_s, "unit": "s"}
+    result["metrics"]["minflt"] = {"value": minflt, "unit": "count"}
     result["metrics"]["wall_s"] = {"value": wall_s, "unit": "s"}
     return json.loads(lines[-2])["report"], result
 
@@ -198,8 +202,12 @@ def main(argv: list[str] | None = None) -> int:
     # with them unchanged is work, one where they fall too is waiting.  No
     # gate reads them.  Wall seconds show how close a whole run (set-up,
     # timed and, with --trace 1, traced half) comes to run.py's deadline.
+    # Minor page faults show memory the allocator gave back to the system and
+    # then faulted in again, a cost no per-layer timer names.
     metrics = bench["end_to_end"] + [
-        {"name": name, "unit": "s", "better": "lower"} for name in ("cpu_s", "wall_s")
+        {"name": "cpu_s", "unit": "s", "better": "lower"},
+        {"name": "minflt", "unit": "count", "better": "lower"},
+        {"name": "wall_s", "unit": "s", "better": "lower"},
     ]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision the head is paired against")

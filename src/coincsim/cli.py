@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError, UndefinedEstimateError
 from .estimators import alpha_estimate
 from .events import Channel, EventStream
-from .gating import CountSummary, GateList, GatePolicy, count_gates, make_gates_from_trigger
+from .gating import CountSummary, GatePolicy, _gates, count_gates, make_gates_from_trigger
 from .scenario import (
     RESULTS_HEADER,
     csv_row,
@@ -114,7 +114,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             trigger, d1, d2 = (EventStream(duration, {c: x}) for c, x in t.items())
             opens = make_gates_from_trigger(trigger, window_ps, policy).opens
             done = np.searchsorted(opens, last - window_ps, "right")  # closed by `last`
-            counts += count_gates(GateList(window_ps, opens[:done]), d1, d2)
+            closed = _gates(window_ps, opens[:done], policy is GatePolicy.DROP_OVERLAPPING)
+            counts += count_gates(closed, d1, d2)
             cut = opens[done] if done < len(opens) else last  # a later record is at >= last
             carry = {c: x[np.searchsorted(x, cut) :] for c, x in t.items()}
     except OSError as exc:

@@ -110,6 +110,24 @@ def test_gate_of_the_previous_chunk_drops_a_trigger():
     assert counts_row(analyze_in_chunks(raw, 1, *flags)) == ["3", "1", "1", "1"]
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+def test_counted_gates_marked_disjoint_when_overlaps_are_dropped(monkeypatch, overlap):
+    # the closed prefix each chunk counts keeps the mark of its trigger gates
+    marks = []
+
+    def count_gates(gates, d1, d2):
+        marks.append("disjoint" in vars(gates))
+        return counted(gates, d1, d2)
+
+    counted = cli.count_gates
+    monkeypatch.setattr(cli, "count_gates", count_gates)
+    raw = ttag1_bytes(100, [(0, T), (3, T), (12, T), (14, D1), (15, D2)])
+    flags = ["--window-ns", "0.01"] + (["--allow-overlap"] if overlap else [])
+    n_gates = "3" if overlap else "2"
+    assert counts_row(analyze_in_chunks(raw, 1, *flags)) == [n_gates, "1", "1", "1"]
+    assert len(marks) > 1 and marks == [not overlap] * len(marks)
+
+
 def test_window_near_the_int64_limit():
     # the first gate's close, 3e17 + 9e18 ps, is past 2**63: the carried
     # drop bound must not wrap around and let the trigger at 3e17 + 1 through

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,11 +122,25 @@ class TestGatesPeriodic:
 
     def test_chunked_build_matches_one_shot(self, monkeypatch):
         # 87 openings: twelve chunks of 7 and a final partial chunk of 3
-        monkeypatch.setattr(gating, "GATE_CHUNK", 7)
+        monkeypatch.setattr(gating, "_PERIODIC_CHUNK", 7)
         rate_hz, duration_ps = 1e12 / 997_000.3, 86 * 997_000
         g = make_gates_periodic(rate_hz, duration_ps, window_ps=500)
         assert len(g) == 86
         np.testing.assert_array_equal(g.opens, periodic_opens_reference(rate_hz, duration_ps))
+
+    @pytest.mark.parametrize("rate_hz", [65_000, 1_000_000])
+    def test_build_peak_memory(self, rate_hz):
+        # the openings, a 64 KiB scratch and 2 KiB for the objects (the
+        # GateList and a few array headers: ~1 KiB measured)
+        make_gates_periodic(rate_hz, 10**12, 7 * NS)
+        tracemalloc.start()
+        try:
+            g = make_gates_periodic(rate_hz, 10**12, 7 * NS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g) == rate_hz
+        assert peak <= g.opens.nbytes + 64 * 1024 + 2048
 
     def test_window_within_a_tick_of_the_period_rejected(self):
         # with a window less than 1 ps under the period, two rounded openings
@@ -276,14 +291,24 @@ def gates_and_events(draw):
 
 
 class TestSparseLookup:
-    @given(gates_and_events())
+    @given(gates_and_events(), st.sampled_from(GatePolicy))
     @settings(max_examples=200)
-    def test_gate_hits_match_per_gate_search(self, case):
+    def test_gate_hits_match_per_gate_search(self, case, policy):
         gates, times = case
         expected = _hits_by_gate(gates, times)
         np.testing.assert_array_equal(_gate_hits(gates, times), expected)
         if gates.disjoint:
             np.testing.assert_array_equal(_hits_by_event(gates, times), expected)
+        # gates from those openings as triggers: marked disjoint at construction
+        # only when overlaps are dropped, and counted as without the mark
+        duration = int(max(gates.opens[-1], times[-1] if len(times) else 0)) + 1
+        trigger = estream(gates.opens, Channel.TRIGGER, duration)
+        marked = make_gates_from_trigger(trigger, gates.window_ps, policy)
+        assert ("disjoint" in vars(marked)) == (policy is GatePolicy.DROP_OVERLAPPING)
+        scanned = GateList(marked.window_ps, marked.opens)
+        assert marked.disjoint == scanned.disjoint
+        d1, d2 = estream(times, Channel.D1, duration), estream(times[::2], Channel.D2, duration)
+        assert count_gates(marked, d1, d2) == count_gates(scanned, d1, d2)
 
     def test_overlapping_gates_use_per_gate_search(self):
         # one event inside two overlapping gates hits both

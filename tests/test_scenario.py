@@ -686,3 +686,35 @@ def test_heralded_acquisition_peak_memory():
         tracemalloc.stop()
     assert result.points[0].counts.n_gates > 50_000
     assert peak <= 5.5 * 2**20
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap and ru_minflt")
+def test_periodic_acquisitions_reuse_their_memory():
+    """One-acquisition coherent_65khz runs fault almost no fresh pages in.
+
+    A fresh process, so that no earlier test has set glibc's thresholds.
+    A gate-building scratch as large as the openings (~0.5 MiB each) gets
+    trimmed from the heap with them after every run and faulted back in by
+    the next: 222 minor faults per run.
+    """
+    code = (
+        "import dataclasses, resource, statistics, sys\n"
+        "from coincsim.scenario import parse_config, run_scenario\n"
+        "config = parse_config(open(sys.argv[1]).read())\n"
+        "config = dataclasses.replace(config, acquisitions=1, acquisitions_per_point=None)\n"
+        "def run(seed):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    run_scenario(dataclasses.replace(config, master_seed=seed))\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+        "for seed in range(5):\n"
+        "    run(seed)\n"
+        "print(statistics.median(run(seed) for seed in range(5, 205)))\n"
+    )
+    src = Path(coincsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(CONFIGS / "coherent_65khz.cfg")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 16

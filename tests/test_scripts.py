@@ -107,7 +107,9 @@ def test_bench_writes_record(tmp_path):
         assert side["layers"]["sources.gen_ms"] > 0
         assert side["layers"]["wall_s"] > 0
         assert side["layers"]["fail_frac"] == 0
-    for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s", "wall_s"):
+        # minor page faults of the harness and its workers, pairs and traced run
+        assert side["minflt"]["median"] >= 0 and side["layers"]["minflt"] >= 0
+    for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s", "minflt", "wall_s"):
         pair = entry["pairs"][metric]
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
         assert pair["head_won"] in (0, 1)
