@@ -14,7 +14,9 @@ machine lands on both sides alike.  ``BENCH_<label>.json`` holds, per
 workload, each side's median, quartiles and runs of every end-to-end metric
 of ``BENCHMARK.json``, the CPU seconds of the run (``cpu_s``: the harness
 and its workers), their minor page faults (``minflt``) and the run's wall
-seconds (``wall_s``), the head/base ratio of every pair with its median and
+seconds (``wall_s``), the host's 1-minute load average as the run ended
+(``load1``) and the iowait and steal jiffies of the whole host during the
+run (``iowait_jiffies``, ``steal_jiffies``), the head/base ratio of every pair with its median and
 the number of pairs the head won, the failed operations, and whether the
 two sides' digests match; its provenance names both commits.  After the
 pairs, one ``--trace 1`` run per workload and side (seed 1, the first side
@@ -40,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import resource
@@ -89,22 +92,36 @@ def child_usage() -> tuple[float, int]:
     return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
+def host_load() -> tuple[float, int, int]:
+    """The host's 1-minute load average and its cumulative iowait and steal
+    jiffies since boot, read from ``/proc`` (NaN and 0 where it has none)."""
+    try:
+        load1 = float(Path("/proc/loadavg").read_text().split()[0])
+        cpu = Path("/proc/stat").read_text().splitlines()[0].split()  # cpu user nice ...
+    except OSError:
+        return math.nan, 0, 0
+    return load1, int(cpu[5]), int(cpu[8])
+
+
 def run_once(
     tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
 ) -> tuple[dict, dict]:
     """One run of ``tree``'s benchmark: (report, result) from its last two lines.
 
     The result's metrics gain ``cpu_s`` and ``minflt``, the CPU seconds and
-    minor page faults of the harness and of the workers it reaped, and
-    ``wall_s``, the run's elapsed seconds.
+    minor page faults of the harness and of the workers it reaped,
+    ``wall_s``, the run's elapsed seconds, and the host's load: ``load1`` as
+    the run ended, and its ``iowait_jiffies`` and ``steal_jiffies`` during
+    the run.
     """
     cmd = [
         sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
     ]
-    start, wall_s = child_usage(), time.perf_counter()
+    host, start, wall_s = host_load(), child_usage(), time.perf_counter()
     returncode, stdout, stderr = run_group(cmd, tree)
     end, wall_s = child_usage(), time.perf_counter() - wall_s
+    host_end = host_load()
     cpu_s, minflt = end[0] - start[0], end[1] - start[1]
     lines = stdout.strip().splitlines()
     # Exit status 1 still prints a result (some operation failed its check).
@@ -117,6 +134,9 @@ def run_once(
     result["metrics"]["cpu_s"] = {"value": cpu_s, "unit": "s"}
     result["metrics"]["minflt"] = {"value": minflt, "unit": "count"}
     result["metrics"]["wall_s"] = {"value": wall_s, "unit": "s"}
+    result["metrics"]["load1"] = {"value": host_end[0], "unit": "load"}
+    result["metrics"]["iowait_jiffies"] = {"value": host_end[1] - host[1], "unit": "jiffies"}
+    result["metrics"]["steal_jiffies"] = {"value": host_end[2] - host[2], "unit": "jiffies"}
     return json.loads(lines[-2])["report"], result
 
 
@@ -135,11 +155,10 @@ def spread(values: list[float]) -> dict:
     }
 
 
-def side(runs: list[tuple[dict, dict]], metrics: list[dict], layers: dict) -> dict:
+def side(runs: list[tuple[dict, dict]], names: list[str], layers: dict) -> dict:
     """One side of one workload: each metric's spread, failed operations, digests, layers."""
     entry = {
-        m["name"]: spread([result["metrics"][m["name"]]["value"] for _, result in runs])
-        for m in metrics
+        name: spread([result["metrics"][name]["value"] for _, result in runs]) for name in names
     }
     entry["attempted"] = sum(result["attempted"] for _, result in runs)
     entry["failed"] = sum(result["failed"] for _, result in runs)
@@ -209,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         {"name": "minflt", "unit": "count", "better": "lower"},
         {"name": "wall_s", "unit": "s", "better": "lower"},
     ]
+    # The host's load beside each run, spread but not paired (a side can read
+    # 0): a slow run on a loaded host, or one waiting on I/O or on a stolen
+    # CPU, is the machine, not the change.  No gate reads them either.
+    recorded = [m["name"] for m in metrics] + ["load1", "iowait_jiffies", "steal_jiffies"]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision the head is paired against")
     parser.add_argument("--label", required=True, help="the record is BENCH_<label>.json")
@@ -272,8 +295,8 @@ def main(argv: list[str] | None = None) -> int:
 
     record_workloads = {}
     for workload in workloads:
-        base = side(runs["base"][workload], metrics, layers["base"][workload])
-        head = side(runs["head"][workload], metrics, layers["head"][workload])
+        base = side(runs["base"][workload], recorded, layers["base"][workload])
+        head = side(runs["head"][workload], recorded, layers["head"][workload])
         record_workloads[workload] = {
             "base": base,
             "head": head,

@@ -3,7 +3,10 @@
 A gate is the half-open interval [open, open + window): an event exactly at
 the opening time is inside, an event exactly at the close is not.  Counting
 is binary per gate and channel, which models a gated counter that latches on
-the first event in the window.
+the first event in the window.  Each channel's hits are the sorted indices of
+the gates it fired in.  A sparse channel looks up each event's gate: periodic
+gates divide its time by their period, and search only where rounding of the
+openings misses; trigger gates binary-search every event.
 
 Two gate sources are supported: gates opened by trigger-channel events
 (heralded operation) and strictly periodic gates from a pulse generator.
@@ -99,11 +102,16 @@ def make_gates_from_trigger(
     return _gates(window_ps, opens, disjoint=drop)
 
 
-def _gates(window_ps: int, opens: np.ndarray, disjoint: bool) -> GateList:
-    """``GateList(window_ps, opens)``, marked disjoint when the caller knows it is."""
+def _gates(
+    window_ps: int, opens: np.ndarray, disjoint: bool, period_ps: float | None = None
+) -> GateList:
+    """``GateList(window_ps, opens)``, marked disjoint when the caller knows it
+    is, and with ``period_ps`` when opening k is ``rint(k * period_ps)``."""
     gates = GateList(window_ps, opens)
     if disjoint:
         vars(gates)["disjoint"] = True
+    if period_ps is not None:
+        vars(gates)["_period_ps"] = period_ps
     return gates
 
 
@@ -148,7 +156,7 @@ def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> Gat
         np.multiply(k[: len(part)], period_ps, out=part)
         opens[s : s + len(k)] = np.rint(part, out=part)
         k += len(k)
-    return _gates(window_ps, opens[: np.searchsorted(opens, duration_ps)], disjoint=True)
+    return _gates(window_ps, opens[: np.searchsorted(opens, duration_ps)], True, period_ps)
 
 
 @dataclass(frozen=True)
@@ -179,24 +187,35 @@ class CountSummary:
 
 
 def _hits_by_gate(gates: GateList, times: np.ndarray) -> np.ndarray:
-    """Search both edges of every gate into the events."""
-    lo = np.searchsorted(times, gates.opens, side="left")
-    hi = np.searchsorted(times, gates.closes, side="left")
-    return hi > lo
+    """Search every opening into the events: a gate holds one when the first
+    event at or after its opening comes before its close."""
+    first = np.searchsorted(times, gates.opens, side="left")
+    after = np.append(times, np.iinfo(np.int64).max)[first]  # no event: past any close
+    return np.flatnonzero(after < gates.closes)
 
 
 def _hits_by_event(gates: GateList, times: np.ndarray) -> np.ndarray:
-    """Search every event into the openings; needs non-overlapping gates."""
-    idx = np.searchsorted(gates.opens, times, side="right") - 1
-    inside = (idx >= 0) & (times < gates.opens[np.maximum(idx, 0)] + gates.window_ps)
-    hits = np.zeros(len(gates), dtype=bool)
+    """Search every event into the openings; needs non-overlapping gates.
+    Periodic gates search only the events outside gate ``floor(t / period)``."""
+    opens, window, period_ps = gates.opens, gates.window_ps, vars(gates).get("_period_ps")
+    if period_ps is None:
+        idx = np.searchsorted(opens, times, side="right") - 1
+    else:  # opening k is rint(k * period), so t / period can fall one gate short
+        idx = (times / period_ps).astype(np.int64).clip(0, len(opens) - 1)
+        miss = np.flatnonzero((times - opens[idx]).view(np.uint64) >= window)
+        idx[miss] = np.searchsorted(opens, times[miss], side="right") - 1
+    # 0 <= t - open < window as one unsigned comparison; at idx -1 the last
+    # opening lies after the event
+    inside = (times - opens[idx]).view(np.uint64) < window
     # compress, not a boolean index: a random mask defeats branch prediction.
-    hits[idx.compress(inside)] = True
-    return hits
+    hits = idx.compress(inside)  # sorted, as the events are
+    first = np.ones(len(hits), dtype=bool)  # one index per gate
+    np.not_equal(hits[1:], hits[:-1], out=first[1:])
+    return hits.compress(first)
 
 
 def _gate_hits(gates: GateList, times: np.ndarray) -> np.ndarray:
-    """Boolean per gate: does [open, close) contain at least one event?
+    """Sorted indices of the gates whose [open, close) holds an event.
 
     Sparse channels search their few events into the gates instead of the
     gates into the events; without overlap both give the same answer.
@@ -215,9 +234,8 @@ def count_gates(gates: GateList, d1: EventStream, d2: EventStream) -> CountSumma
     """
     h1 = _gate_hits(gates, d1.times)
     h2 = _gate_hits(gates, d2.times)
+    fired1 = np.zeros(len(gates), dtype=bool)
+    fired1[h1] = True
     return CountSummary(
-        n_gates=len(gates),
-        n1=int(np.count_nonzero(h1)),
-        n2=int(np.count_nonzero(h2)),
-        nc=int(np.count_nonzero(h1 & h2)),
+        n_gates=len(gates), n1=len(h1), n2=len(h2), nc=int(np.count_nonzero(fired1[h2]))
     )

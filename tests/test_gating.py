@@ -277,6 +277,12 @@ class TestCountInvariants:
         assert abs(c.nc / n - p1 * p2) < 3 * sigma
 
 
+def brute_force_hits(gates, times):
+    """Indices of the gates holding some event, gate by gate."""
+    held = [np.any((o <= times) & (times < o + gates.window_ps)) for o in gates.opens]
+    return np.flatnonzero(np.asarray(held, dtype=bool))
+
+
 @st.composite
 def gates_and_events(draw):
     """Sorted openings (overlapping or not) and sorted events near them."""
@@ -295,8 +301,9 @@ class TestSparseLookup:
     @settings(max_examples=200)
     def test_gate_hits_match_per_gate_search(self, case, policy):
         gates, times = case
-        expected = _hits_by_gate(gates, times)
+        expected = brute_force_hits(gates, times)
         np.testing.assert_array_equal(_gate_hits(gates, times), expected)
+        np.testing.assert_array_equal(_hits_by_gate(gates, times), expected)
         if gates.disjoint:
             np.testing.assert_array_equal(_hits_by_event(gates, times), expected)
         # gates from those openings as triggers: marked disjoint at construction
@@ -305,6 +312,7 @@ class TestSparseLookup:
         trigger = estream(gates.opens, Channel.TRIGGER, duration)
         marked = make_gates_from_trigger(trigger, gates.window_ps, policy)
         assert ("disjoint" in vars(marked)) == (policy is GatePolicy.DROP_OVERLAPPING)
+        assert "_period_ps" not in vars(marked)  # trigger gates carry no period
         scanned = GateList(marked.window_ps, marked.opens)
         assert marked.disjoint == scanned.disjoint
         d1, d2 = estream(times, Channel.D1, duration), estream(times[::2], Channel.D2, duration)
@@ -315,7 +323,7 @@ class TestSparseLookup:
         gates = GateList(window_ps=10, opens=np.array([0, 5, 100, 200], dtype=np.int64))
         assert not gates.disjoint
         hits = _gate_hits(gates, np.array([7], dtype=np.int64))
-        assert hits.tolist() == [True, True, False, False]
+        assert hits.tolist() == [0, 1]  # gates 2 and 3 hold nothing
 
     def test_periodic_gates_are_disjoint(self):
         gates = make_gates_periodic(65_000, 10**9, 7 * NS)
@@ -332,5 +340,81 @@ class TestSparseLookup:
     def test_event_search_without_hits(self, times):
         gates = GateList(window_ps=10, opens=np.array([0, 100, 200, 300], dtype=np.int64))
         expected = _hits_by_gate(gates, times)
-        assert not expected.any()
+        assert len(expected) == 0
         np.testing.assert_array_equal(_hits_by_event(gates, times), expected)
+
+
+@st.composite
+def periodic_gates_and_events(draw):
+    """Periodic gates of a non-integer period, and events on and around their edges."""
+    period = draw(st.integers(2, 10**6)) + draw(st.floats(0.01, 0.99))
+    window = draw(st.integers(1, int(period - 1)))
+    duration = draw(st.integers(1, int(40 * period)))
+    gates = make_gates_periodic(1e12 / period, duration, window)
+    opens = gates.opens
+    edges = {
+        "open": opens,
+        "last_inside": opens + window - 1,
+        "close": opens + window,
+        "between": (opens + window + np.append(opens[1:], duration)) // 2,
+        "before_first": np.array([-1]),
+        "from_duration": duration + np.array([0, 1, int(period)]),
+    }
+    picks = [
+        draw(st.lists(st.sampled_from(list(edges[name])), max_size=8))
+        for name in draw(st.sets(st.sampled_from(sorted(edges))))
+    ]
+    times = np.sort(np.asarray(sum(picks, []), dtype=np.int64))
+    return gates, times[: draw(st.integers(0, len(times)))]
+
+
+class TestPeriodicCandidate:
+    """Periodic gates find each event's gate by division, then by search."""
+
+    @given(periodic_gates_and_events(), st.integers(0, 2**32))
+    @settings(max_examples=200)
+    def test_counts_match_unmarked_gates(self, case, seed):
+        gates, times = case
+        assert "_period_ps" in vars(gates)
+        unmarked = GateList(gates.window_ps, gates.opens)
+        assert "_period_ps" not in vars(unmarked)
+        expected = brute_force_hits(unmarked, times)
+        np.testing.assert_array_equal(_hits_by_event(gates, times), expected)
+        np.testing.assert_array_equal(_hits_by_event(unmarked, times), expected)
+        np.testing.assert_array_equal(_gate_hits(gates, times), expected)
+        # the second channel: a random half of the events
+        rng = np.random.default_rng(derive_seed(seed, 0, "half"))
+        duration = int(max(gates.opens[-1] + gates.window_ps, times[-1] if len(times) else 0)) + 1
+        d1 = estream(times, Channel.D1, duration)
+        d2 = estream(times[rng.random(len(times)) < 0.5], Channel.D2, duration)
+        assert count_gates(gates, d1, d2) == count_gates(unmarked, d1, d2)
+
+    def test_opening_rounded_down_found_by_search(self):
+        # opening 1 of a 1000.3 ps period is rint(1000.3) = 1000: an event on
+        # it divides to gate 0, which closed at 999, so the search finds gate 1
+        gates = make_gates_periodic(1e12 / 1000.3, 10_000, window_ps=999)
+        t = int(gates.opens[1])
+        assert t == 1000 and int(t // vars(gates)["_period_ps"]) == 0
+        times = np.array([t], dtype=np.int64)
+        assert _hits_by_event(gates, times).tolist() == [1]
+        c = count_gates(gates, estream(times, Channel.D1), estream(times, Channel.D2))
+        assert c == CountSummary(n_gates=10, n1=1, n2=1, nc=1)
+
+    def test_empty_channels(self):
+        gates = make_gates_periodic(65_000, 10**9, 7 * NS)
+        empty = np.empty(0, dtype=np.int64)
+        hits = _hits_by_event(gates, empty)
+        assert hits.dtype == np.int64 and len(hits) == 0
+        c = count_gates(gates, estream(empty, Channel.D1), estream(empty, Channel.D2))
+        assert c == CountSummary(n_gates=len(gates), n1=0, n2=0, nc=0)
+
+    def test_one_gate(self):
+        gates = make_gates_periodic(1e6, 10**6, 7 * NS)  # duration = one period
+        assert gates.opens.tolist() == [0]
+        times = np.array([0, 7 * NS - 1, 7 * NS, 10**6, 10**7], dtype=np.int64)
+        assert _hits_by_event(gates, times[:0]).tolist() == []
+        for t in times:
+            one = np.array([t], dtype=np.int64)
+            assert _hits_by_event(gates, one).tolist() == ([0] if t < 7 * NS else [])
+        c = count_gates(gates, estream(times[1:], Channel.D1), estream(times[2:], Channel.D2))
+        assert c == CountSummary(n_gates=1, n1=1, n2=0, nc=0)

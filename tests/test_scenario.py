@@ -396,6 +396,13 @@ class TestRunning:
         parallel = run_point(cfg, 1, jobs=2)
         assert serial == parallel
 
+    def test_parallel_matches_serial_on_periodic_gates(self):
+        # the workers count on pickled periodic gates, period included
+        cfg = parse_config(COHERENT_SMALL.replace("dark_rate_hz = 0", "dark_rate_hz = 1e5"))
+        serial = run_point(cfg, 1, jobs=1)
+        assert serial.counts.n1 > 0 and serial.counts.n2 > 0
+        assert run_point(cfg, 1, jobs=2) == serial
+
     def test_import_leaves_the_process_pool_out(self):
         """``import coincsim`` does not load the process pool; ``jobs=2`` loads it when it runs."""
         code = (

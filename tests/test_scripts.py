@@ -109,6 +109,11 @@ def test_bench_writes_record(tmp_path):
         assert side["layers"]["fail_frac"] == 0
         # minor page faults of the harness and its workers, pairs and traced run
         assert side["minflt"]["median"] >= 0 and side["layers"]["minflt"] >= 0
+        # the host's load beside every pair run and traced run
+        for metric in ("load1", "iowait_jiffies", "steal_jiffies"):
+            assert len(side[metric]["runs"]) == 1 and side[metric]["median"] >= 0
+            assert side["layers"][metric] >= 0
+        assert "load1" not in entry["pairs"]
     for metric in ("acq_per_s", "setup_s", "peak_rss_mb", "cpu_s", "minflt", "wall_s"):
         pair = entry["pairs"][metric]
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
