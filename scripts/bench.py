@@ -16,16 +16,16 @@ of ``BENCHMARK.json``, the CPU seconds of the run (``cpu_s``: the harness
 and its workers), their minor page faults (``minflt``) and the run's wall
 seconds (``wall_s``), the host's 1-minute load average as the run ended
 (``load1``) and the iowait and steal jiffies of the whole host during the
-run (``iowait_jiffies``, ``steal_jiffies``), the head/base ratio of every pair with its median and
-the number of pairs the head won, the failed operations, and whether the
-two sides' digests match; its provenance names both commits.  After the
-pairs, one ``--trace 1`` run per workload and side (seed 1, the first side
-alternating from workload to workload) adds that side's per-layer metrics
-under ``layers``, so the record shows which layer moved; one run per side
-resolves only moves of about 20% or more.  A record of every workload (no
-``--workload``) then runs the head tree's Tier-1 tests and
-``scripts/reproduce_experiments.py`` once each and puts their wall seconds
-under ``suite``.
+run (``iowait_jiffies``, ``steal_jiffies``), the head/base ratio of every
+pair with its median and the number of pairs the head won, the failed
+operations, and whether the two sides' digests match; its provenance names
+both commits.  After the pairs, one ``--trace 1`` run per workload and side
+(seed 1, the first side alternating from workload to workload) adds that
+side's per-layer metrics under ``layers``, so the record shows which layer
+moved; one run per side resolves only moves of about 20% or more.  A record
+of every workload (no ``--workload``) then runs the head tree's Tier-1
+tests and ``scripts/reproduce_experiments.py`` once each and puts their wall
+seconds under ``suite``.
 A perf change quotes the median ratio and the wins from its record:
 
     python3 scripts/bench.py --base HEAD~1 --label pr11 --seeds 5

@@ -156,7 +156,8 @@ def make_gates_periodic(rate_hz: float, duration_ps: int, window_ps: int) -> Gat
         np.multiply(k[: len(part)], period_ps, out=part)
         opens[s : s + len(k)] = np.rint(part, out=part)
         k += len(k)
-    return _gates(window_ps, opens[: np.searchsorted(opens, duration_ps)], True, period_ps)
+    opens = opens[: np.searchsorted(opens, duration_ps)]
+    return _gates(window_ps, opens, disjoint=True, period_ps=period_ps)
 
 
 @dataclass(frozen=True)
