@@ -24,14 +24,15 @@ both commits.  After the pairs, one ``--trace 1`` run per workload and side
 side's per-layer metrics under ``layers``, so the record shows which layer
 moved; one run per side resolves only moves of about 20% or more.  A record
 of every workload (no ``--workload``) then runs the head tree's Tier-1
-tests and ``scripts/reproduce_experiments.py`` once each and puts their wall
-seconds under ``suite``.
+tests once and ``python -m coincsim.cli simulate`` once per ``configs/*.cfg``,
+and puts their wall seconds and exit statuses under ``suite``; a config's
+seconds include the interpreter's start and imports.
 A perf change quotes the median ratio and the wins from its record:
 
     python3 scripts/bench.py --base HEAD~1 --label pr11 --seeds 5
 
 takes about 2 x 4 x (5 + 1) x 30 s on a 2-core VM at the default 20 s per
-run, plus about 90 s for the suite.
+run, plus about 47 s for the suite (Tier-1 33 s, the seven configs 13 s).
 Both worktrees are removed when the script ends, also when a run fails or
 the script is stopped by SIGTERM; each run's harness and its workers are then
 killed with it.
@@ -44,7 +45,6 @@ import contextlib
 import json
 import math
 import os
-import re
 import resource
 import shutil
 import signal
@@ -183,30 +183,42 @@ def paired(base: dict, head: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def run_suite() -> dict:
-    """Wall seconds of this tree's Tier-1 tests and of each shipped config's run."""
+def head_env() -> dict:
+    """This environment with this tree's ``src/`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def time_configs(configs: list[Path]) -> dict:
+    """Wall seconds and exit status of one ``coincsim simulate`` process per
+    config, by the config's stem; the results table is discarded."""
+    env, seconds, exits = head_env(), {}, {}
+    for config in configs:
+        cmd = [
+            sys.executable, "-m", "coincsim.cli", "simulate",
+            "--config", str(config), "--out", os.devnull,
+        ]
+        started = time.perf_counter()
+        exits[config.stem], _, _ = run_group(cmd, REPO_ROOT, env)
+        seconds[config.stem] = time.perf_counter() - started
+    return {"seconds": seconds, "exit": exits}
+
+
+def run_suite() -> dict:
+    """Wall seconds of this tree's Tier-1 tests and of each shipped config's run."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
     started = time.perf_counter()
-    returncode, stdout, _ = run_group(cmd, REPO_ROOT, env)
+    returncode, stdout, _ = run_group(cmd, REPO_ROOT, head_env())
     tier1 = {
         "seconds": time.perf_counter() - started,
         "exit": returncode,
         "summary": stdout.strip().splitlines()[-1] if stdout.strip() else "",
     }
-    with tempfile.TemporaryDirectory(prefix="coincsim-suite-") as out_dir:
-        script = str(REPO_ROOT / "scripts" / "reproduce_experiments.py")
-        returncode, stdout, _ = run_group(
-            [sys.executable, script, "--out-dir", out_dir], REPO_ROOT, env
-        )
-    # each config's line ends "..., <seconds> s -> <csv path>"
-    configs = {
-        m[1]: float(m[2]) for m in re.finditer(r"^(\S+): .*, ([0-9.]+) s -> ", stdout, re.M)
-    }
-    return {"tier1": tier1, "reproduce_experiments": {"exit": returncode, "seconds": configs}}
+    configs = sorted((REPO_ROOT / "configs").glob("*.cfg"))
+    return {"tier1": tier1, "simulate": time_configs(configs)}
 
 
 def _stop(signum: int, frame) -> None:

@@ -3,11 +3,11 @@
 Each criterion prints one ``[criterion N] PASS``/``FAIL`` line (visible with
 ``pytest -s tests/test_acceptance.py``) and then asserts its conditions, so a
 red criterion shows up both in the printed summary and as a test failure.
-The whole module takes about 40 s on a 2-core VM; most of it goes to the
-heralded rate sweep (criterion 2, ~18 s) and to criterion 5 (~14 s, nearly
-all of it the two shared-mode thermal configs, ~11 s and ~3 s).  The
-coherent and thermal runs are fast because their photons are generated
-only inside the gates.
+The whole module takes about 10 s on a 2-core VM; most of it goes to the
+heralded rate sweep (criterion 2, ~6 s).  Criterion 5 takes ~1.2 s, most
+of it the two shared-mode thermal configs (~0.6 s and ~0.3 s), and
+criterion 1's low-rate run ~0.9 s.  The coherent and thermal runs are fast
+because their photons are generated only inside the gates.
 """
 
 import math

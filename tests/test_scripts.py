@@ -1,5 +1,7 @@
-"""Smoke tests: each script in ``scripts/`` runs end to end on a tiny input."""
+"""Smoke tests: ``python -m coincsim.cli`` and each script in ``scripts/`` run
+end to end on a tiny input."""
 
+import importlib.util
 import json
 import os
 import signal
@@ -7,11 +9,15 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from coincsim.scenario import csv_row, oracle_per_point, parse_config, serialize_config
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = REPO_ROOT / "configs"
 
 
 def script_env():
@@ -22,14 +28,14 @@ def script_env():
     return env
 
 
-def run_script(name, *args):
+def run_python(*args):
     return subprocess.run(
-        [sys.executable, str(REPO_ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=script_env(),
-        timeout=300,
+        [sys.executable, *args], capture_output=True, text=True, env=script_env(), timeout=300
     )
+
+
+def run_script(name, *args):
+    return run_python(str(REPO_ROOT / "scripts" / name), *args)
 
 
 def bench_worktrees():
@@ -57,22 +63,40 @@ def processes_running(path):
     return pids
 
 
-def test_rate_sweep_prints_csv():
-    proc = run_script("rate_sweep.py", "--acquisitions", "1", "--multipliers", "1")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "trigger_rate_cps,alpha,sigma,expected_alpha,pull"
-    assert len(lines) == 2
+def load(name):
+    return parse_config((CONFIG_DIR / name).read_text())
 
 
-def test_reproduce_experiments_writes_results_csv(tmp_path):
-    proc = run_script(
-        "reproduce_experiments.py", "--only", "classical_wave", "--out-dir", str(tmp_path)
-    )
+def test_cli_simulate_writes_the_golden_table(tmp_path):
+    config = replace(load("classical_wave.cfg"), acquisitions=2)
+    cfg = tmp_path / "classical_wave.cfg"
+    cfg.write_text(serialize_config(config))
+    out = tmp_path / "classical_wave.csv"
+    proc = run_python("-m", "coincsim.cli", "simulate", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("classical_wave: alpha = ")
-    header = (tmp_path / "classical_wave.csv").read_text().splitlines()[0]
-    assert header == "point,rate_cps,N,N1,N2,Nc,alpha,sigma"
+    assert out.read_bytes() == (REPO_ROOT / "tests" / "golden" / "classical_wave.csv").read_bytes()
+
+
+def test_cli_oracle_prints_each_points_expected_alpha():
+    cfg = CONFIG_DIR / "pdc_sweep.cfg"
+    proc = run_python("-m", "coincsim.cli", "oracle", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    expected = oracle_per_point(load("pdc_sweep.cfg"))
+    rows = [csv_row(i, a) for i, a in enumerate(expected, start=1)]
+    assert proc.stdout.splitlines() == ["point,expected_alpha", *rows]
+
+
+def test_bench_times_each_configs_simulate_run(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", REPO_ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    config = replace(load("classical_wave.cfg"), acquisitions=1, acquisition_duration_ps=10**9)
+    (tmp_path / "tiny.cfg").write_text(serialize_config(config))
+    (tmp_path / "broken.cfg").write_text("[source]\nkind = no_such_kind\n")
+    timed = bench.time_configs(sorted(tmp_path.glob("*.cfg")))
+    assert timed["exit"] == {"broken": 2, "tiny": 0}
+    assert set(timed["seconds"]) == {"broken", "tiny"}
+    assert all(s > 0 for s in timed["seconds"].values())
 
 
 def bench_dirs():
