@@ -8,13 +8,15 @@ Three subcommands:
 * ``oracle``: print the model-predicted alpha for each sweep point of a
   configuration, for comparing simulated output against expectation.
 
-Exit codes: 0 success, 2 configuration problem, 3 malformed input data.
+Exit codes: 0 success, 2 configuration problem (an ``--out`` path that cannot
+be written among them), 3 malformed input data.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -55,20 +57,27 @@ def _read_config(path: str):
     return parse_config(text)
 
 
-def _write_out(path: str, text: str) -> None:
+def _output(path: str):
+    """The writer of a command's output to ``path`` ('-' is stdout), checked before the
+    command runs: a path that cannot be written fails first, and the file stays as it
+    was until the command's output is written."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return sys.stdout.write
+    created = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    if created:
+        os.remove(path)
+    return Path(path).write_text
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     config = _read_config(args.config)
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    result = run_scenario(config, jobs=args.jobs)
-    _write_out(args.out, emit_results_csv(result))
-    return EXIT_OK
+    return emit_results_csv(run_scenario(config, jobs=args.jobs))
 
 
 def _parsed_chunks(path: str, fmt: str, duration_ps: int | None):
@@ -94,7 +103,7 @@ def _parsed_chunks(path: str, fmt: str, duration_ps: int | None):
             yield stream, prev[0] if end == len(buf) else math.inf
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> str:
     window_ps = round(args.window_ns * 1000) if math.isfinite(args.window_ns) else 0
     if not 0 < window_ps < 2**63:
         raise ConfigError("--window-ns must be finite, positive and below 2**63 ps")
@@ -119,22 +128,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             cut = opens[done] if done < len(opens) else last  # a later record is at >= last
             carry = {c: x[np.searchsorted(x, cut) :] for c, x in t.items()}
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataFormatError(f"cannot read {args.input}: {exc}") from None
     est = alpha_estimate(counts)
     rate = counts.n_gates / (duration * 1e-12)
     row = csv_row(1, rate, *astuple(counts), est.alpha, est.sigma)
-    _write_out(args.out, f"{RESULTS_HEADER}\n{row}\n")
-    return EXIT_OK
+    return f"{RESULTS_HEADER}\n{row}\n"
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> str:
     config = _read_config(args.config)
     expected = oracle_per_point(config)
     lines = ["point,expected_alpha"]
     lines.extend(csv_row(i, a) for i, a in enumerate(expected, start=1))
-    _write_out(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        write = _output(args.out)
+        write(args.func(args))
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

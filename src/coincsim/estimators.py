@@ -83,9 +83,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlphaEstimate:
+    """alpha with its one-sigma uncertainty; the counts behind it stay with their caller."""
+
     alpha: float
     sigma: float
-    counts: CountSummary | None = None
 
 
 def alpha_estimate(counts: CountSummary) -> AlphaEstimate:
@@ -99,14 +100,15 @@ def alpha_estimate(counts: CountSummary) -> AlphaEstimate:
     alpha = nc * n / (n1 * n2)
     scale = n / (n1 * n2)
     var = scale * scale * max(nc, 1) + alpha * alpha * (1.0 / n1 + 1.0 / n2)
-    return AlphaEstimate(alpha=alpha, sigma=math.sqrt(var), counts=counts)
+    return AlphaEstimate(alpha=alpha, sigma=math.sqrt(var))
 
 
 def weighted_mean(estimates: Sequence[AlphaEstimate] | Iterable[AlphaEstimate]) -> AlphaEstimate:
     """Inverse-variance weighted combination of independent estimates.
 
-    The combined sigma is 1 / sqrt(sum of weights).  Count summaries are
-    summed through when every input carries one.
+    The combined sigma is 1 / sqrt(sum of weights).  Only alpha and sigma
+    are combined; a caller that reports the counts behind the estimates sums
+    them itself (the results CSV's overall row does).
     """
     ests = list(estimates)
     if not ests:
@@ -119,15 +121,9 @@ def weighted_mean(estimates: Sequence[AlphaEstimate] | Iterable[AlphaEstimate]) 
     w = np.array([1.0 / (e.sigma * e.sigma) for e in ests])
     a = np.array([e.alpha for e in ests])
     total_w = w.sum()
-    counts: CountSummary | None = None
-    if all(e.counts is not None for e in ests):
-        counts = ests[0].counts
-        for e in ests[1:]:
-            counts = counts + e.counts
     return AlphaEstimate(
         alpha=float((w * a).sum() / total_w),
         sigma=float(1.0 / math.sqrt(total_w)),
-        counts=counts,
     )
 
 
@@ -182,6 +178,4 @@ def expected_alpha_classical_wave(config: ClassicalWaveConfig) -> float:
     """alpha = <I^2>/<I>^2 for the per-gate intensity law, linear regime."""
     if config.intensity_law is IntensityLaw.CONSTANT:
         return 1.0
-    if config.intensity_law is IntensityLaw.EXPONENTIAL:
-        return 2.0
-    raise UndefinedEstimateError(f"no prediction for intensity law {config.intensity_law!r}")
+    return 2.0  # IntensityLaw.EXPONENTIAL, the only other law

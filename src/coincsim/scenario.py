@@ -42,9 +42,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from enum import Enum
 from functools import partial
+from statistics import NormalDist
 from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -243,48 +244,22 @@ def _scaled(source: SourceConfig, multiplier: float) -> SourceConfig:
 # config file parsing
 
 
-class _Section:
-    """Strict key accessor for one INI section."""
-
-    def __init__(self, name: str, mapping) -> None:
-        self.name = name
-        self._map = dict(mapping)
-        self._seen: set[str] = set()
-
-    def get(self, key: str, type_, default=MISSING):
-        """The value of ``key`` parsed as ``type_``.
-
-        ``type_`` is str, int, float, an Enum, ``X | None`` (parsed as X) or
-        ``tuple[X, ...]`` (whitespace- or comma-separated items).  An omitted
-        key gives ``default`` and is required when that is ``MISSING``.
-        """
-        self._seen.add(key)
-        if key not in self._map:
-            if default is MISSING:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'")
-            return default
-        return self._parse(key, self._map[key].strip(), type_)
-
-    def _parse(self, key: str, v: str, type_):
-        if get_origin(type_) is tuple:
-            items = v.replace(",", " ").split()
-            return tuple(self._parse(key, item, get_args(type_)[0]) for item in items)
-        if get_origin(type_) is not None:  # X | None
-            return self._parse(key, v, get_args(type_)[0])
-        try:
-            return type_(v)
-        except ValueError:
-            if issubclass(type_, Enum):
-                choices = ", ".join(e.value for e in type_)
-                raise ConfigError(f"[{self.name}] {key}: {v!r} is not one of: {choices}") from None
-            expected = "an integer" if type_ is int else "a number"
-            raise ConfigError(f"[{self.name}] {key}: expected {expected}, got {v!r}") from None
-
-    def finish(self, names) -> None:
-        """Reject every key that is neither read already nor one of ``names``."""
-        unknown = sorted(set(self._map) - self._seen - set(names))
-        if unknown:
-            raise ConfigError(f"[{self.name}] has unknown key '{unknown[0]}'")
+def _parse_value(section: str, key: str, v: str, type_):
+    """``v``, the value of ``[section] key``, parsed as ``type_``: str, int, float, an
+    Enum, ``X | None`` (parsed as X) or ``tuple[X, ...]`` (items split at whitespace or commas)."""
+    if get_origin(type_) is tuple:
+        items = v.replace(",", " ").split()
+        return tuple(_parse_value(section, key, item, get_args(type_)[0]) for item in items)
+    if get_origin(type_) is not None:  # X | None
+        return _parse_value(section, key, v, get_args(type_)[0])
+    try:
+        return type_(v)
+    except ValueError:
+        if issubclass(type_, Enum):
+            choices = ", ".join(e.value for e in type_)
+            raise ConfigError(f"[{section}] {key}: {v!r} is not one of: {choices}") from None
+        expected = "an integer" if type_ is int else "a number"
+        raise ConfigError(f"[{section}] {key}: expected {expected}, got {v!r}") from None
 
 
 # The [run] and [sweep] keys, each the ScenarioConfig field of the same name.
@@ -296,19 +271,23 @@ _RUN_SECTIONS = {
 _DETECTOR_KEYS = tuple(f.name for f in fields(DetectorConfig) if f.name != "channel")
 
 
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
-
-
-def _read_fields(sec: _Section, cls, names, defaults: dict) -> dict:
-    """The fields ``names`` of ``cls``, each read from its key in ``sec``.
-
-    A field's annotated type parses its value; a key the section omits takes
-    its value from ``defaults`` and is required when that is ``MISSING``.
-    """
-    types = get_type_hints(cls)
-    sec.finish(names)  # an unknown key is named before a missing one
-    return {name: sec.get(name, types[name], defaults[name]) for name in names}
+def _read_fields(cp, section: str, cls, names, defaults, also=()) -> dict:
+    """The fields ``names`` of ``cls``, each parsed by its annotated type from its key in
+    ``[section]``, or else taken from ``defaults``.  A key outside ``names`` and ``also``
+    is refused before a key that ``defaults`` lacks is reported missing."""
+    keys = cp[section] if cp.has_section(section) else {}
+    unknown = sorted(set(keys) - {*names, *also})
+    if unknown:
+        raise ConfigError(f"[{section}] has unknown key '{unknown[0]}'")
+    types, values = get_type_hints(cls), {}
+    for name in names:
+        if name in keys:
+            values[name] = _parse_value(section, name, keys[name].strip(), types[name])
+        elif name in defaults:
+            values[name] = defaults[name]
+        else:
+            raise ConfigError(f"[{section}] is missing required key '{name}'")
+    return values
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -326,25 +305,22 @@ def parse_config(text: str) -> ScenarioConfig:
     if not cp.has_section("source"):
         raise ConfigError("config needs a [source] section")
 
-    sec = _Section("source", cp["source"])
-    kind = sec.get("kind", SourceKind)
-    cls = _KINDS[kind].config
-    defaults = _field_defaults(cls)
-    values = {"source": cls(**_read_fields(sec, cls, defaults.keys(), defaults))}
+    if "kind" not in cp["source"]:
+        raise ConfigError("[source] is missing required key 'kind'")
+    cls = _KINDS[_parse_value("source", "kind", cp["source"]["kind"].strip(), SourceKind)].config
+    # a dataclass keeps each field's default as the class attribute of that name
+    names = [f.name for f in fields(cls)]
+    values = {"source": cls(**_read_fields(cp, "source", cls, names, vars(cls), also=["kind"]))}
 
     for name, channel in _SECTION_CHANNEL.items():
         section = f"detector.{name}"
         if cp.has_section(section):
-            sec = _Section(section, cp[section])
             defaults = vars(default_detector(channel))
-            values[name] = DetectorConfig(
-                channel=channel, **_read_fields(sec, DetectorConfig, _DETECTOR_KEYS, defaults)
-            )
+            read = _read_fields(cp, section, DetectorConfig, _DETECTOR_KEYS, defaults)
+            values[name] = DetectorConfig(channel=channel, **read)
 
-    defaults = _field_defaults(ScenarioConfig)
     for section, names in _RUN_SECTIONS.items():
-        sec = _Section(section, cp[section] if cp.has_section(section) else {})
-        values.update(_read_fields(sec, ScenarioConfig, names, defaults))
+        values.update(_read_fields(cp, section, ScenarioConfig, names, vars(ScenarioConfig)))
     return ScenarioConfig(**values)
 
 
@@ -394,9 +370,7 @@ class PointResult:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    label: str
     kind: SourceKind
-    window_ps: int
     points: tuple[PointResult, ...]
     overall: AlphaEstimate
     overall_point_ids: tuple[int, ...]
@@ -536,9 +510,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     ids = config.overall_points or tuple(range(1, len(points) + 1))
     overall = weighted_mean([points[i - 1].estimate for i in ids])
     return ScenarioResult(
-        label=config.label,
         kind=config.kind,
-        window_ps=config.window_ps,
         points=tuple(points),
         overall=overall,
         overall_point_ids=tuple(ids),
@@ -550,10 +522,6 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
 # model predictions for a configured scenario
 
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
 def _window_capture(window_ps: int, sigma_ps: float) -> float:
     """P(partner lands in its gate) for Gaussian timing spread sigma.
 
@@ -563,7 +531,8 @@ def _window_capture(window_ps: int, sigma_ps: float) -> float:
     """
     if sigma_ps <= 0:
         return 1.0
-    return _normal_cdf((window_ps - 0.5) / sigma_ps) - _normal_cdf(-0.5 / sigma_ps)
+    cdf = NormalDist().cdf
+    return cdf((window_ps - 0.5) / sigma_ps) - cdf(-0.5 / sigma_ps)
 
 
 def oracle_per_point(config: ScenarioConfig) -> list[float]:
@@ -680,9 +649,10 @@ def csv_row(*values) -> str:
 def emit_results_csv(result: ScenarioResult) -> str:
     """Results table: one row per sweep point plus an 'overall' summary row.
 
-    The overall row combines the selected points: counts are summed, alpha
-    and sigma come from the inverse-variance weighted mean, and the rate is
-    the live-time weighted mean of the selected points' rates.
+    The overall row combines the selected points: their counts and live
+    times are summed, alpha and sigma are ``result.overall`` (the
+    inverse-variance weighted mean), and the rate is the live-time weighted
+    mean of their rates.
     """
     lines = [RESULTS_HEADER]
     for p in result.points:
@@ -690,10 +660,9 @@ def emit_results_csv(result: ScenarioResult) -> str:
             csv_row(p.point, p.rate_cps, *astuple(p.counts), p.estimate.alpha, p.estimate.sigma)
         )
     chosen = [result.points[i - 1] for i in result.overall_point_ids]
+    counts = sum((p.counts for p in chosen[1:]), chosen[0].counts)
     total_seconds = sum(p.seconds for p in chosen)
     mean_rate = sum(p.rate_cps * p.seconds for p in chosen) / total_seconds
     overall = result.overall
-    lines.append(
-        csv_row("overall", mean_rate, *astuple(overall.counts), overall.alpha, overall.sigma)
-    )
+    lines.append(csv_row("overall", mean_rate, *astuple(counts), overall.alpha, overall.sigma))
     return "\n".join(lines) + "\n"

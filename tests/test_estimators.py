@@ -43,10 +43,6 @@ class TestAlphaEstimate:
         with pytest.raises(UndefinedEstimateError):
             alpha_estimate(CountSummary(n_gates=0, n1=0, n2=0, nc=0))
 
-    def test_counts_attached(self):
-        c = CountSummary(n_gates=10, n1=2, n2=2, nc=1)
-        assert alpha_estimate(c).counts == c
-
     @given(
         n=st.integers(1, 10**7),
         n1=st.integers(1, 10**6),
@@ -97,14 +93,6 @@ class TestWeightedMean:
     def test_low_sigma_points_dominate(self):
         m = weighted_mean([AlphaEstimate(0.0, 1e-6), AlphaEstimate(1.0, 1e3)])
         assert m.alpha < 1e-6
-
-    def test_counts_summed_when_all_present(self):
-        ests = [
-            alpha_estimate(CountSummary(1000, 100, 100, 10)),
-            alpha_estimate(CountSummary(2000, 150, 140, 20)),
-        ]
-        m = weighted_mean(ests)
-        assert m.counts == CountSummary(3000, 250, 240, 30)
 
     def test_empty_rejected(self):
         with pytest.raises(UndefinedEstimateError):

@@ -167,6 +167,41 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="pair_rate_hz"):
             parse_config("[source]\nkind = pdc\npair_rate_hz = fast\n")
 
+    # Each text gives either this exact ConfigError message or these field values.
+    READER_CASES = {
+        "no_kind": ("[source]\npair_rate_hz = 1e6\n", "[source] is missing required key 'kind'"),
+        "bad_kind": (
+            "[source]\nkind = nope\n",
+            "[source] kind: 'nope' is not one of: pdc, coherent, thermal, classical_wave",
+        ),
+        "detector_channel": (
+            PDC_MINIMAL + "[detector.d1]\nchannel = 1\n",
+            "[detector.d1] has unknown key 'channel'",
+        ),
+        "unknown_before_missing": (
+            "[source]\nkind = pdc\nzzz = 1\nwavelength = 800\n",
+            "[source] has unknown key 'wavelength'",
+        ),
+        "default_section_key": (
+            "[DEFAULT]\nefficiency = 0.5\n" + PDC_MINIMAL,
+            "[source] has unknown key 'efficiency'",
+        ),
+        "comma_list": (
+            PDC_MINIMAL + "[sweep]\nmultipliers = 1, 2,3\n",
+            {"multipliers": (1.0, 2.0, 3.0)},
+        ),
+    }
+
+    @pytest.mark.parametrize("text, expected", READER_CASES.values(), ids=list(READER_CASES))
+    def test_reader_cases(self, text, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert str(err.value) == expected
+        else:
+            cfg = parse_config(text)
+            assert {name: getattr(cfg, name) for name in expected} == expected
+
     @pytest.mark.parametrize(
         "section, line, message",
         [
@@ -663,12 +698,56 @@ class TestCli:
         out = capsys.readouterr().out
         assert out == "point,expected_alpha\n1,1\n"
 
+    @staticmethod
+    def assert_unwritable_out(argv, out, capsys):
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write {out}: No such file or directory\n"
+        )
+
+    def test_simulate_unwritable_out_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        def run_scenario(*args, **kwargs):
+            raise AssertionError("the scenario ran before --out was checked")
+
+        monkeypatch.setattr("coincsim.cli.run_scenario", run_scenario)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COHERENT_SMALL)
+        argv = ["simulate", "--config", str(cfgfile)]
+        self.assert_unwritable_out(argv, tmp_path / "missing" / "x.csv", capsys)
+
+    def test_analyze_unwritable_out_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "tags.csv"
+        stream = stream_of(10**6, ("T", 0), ("D1", 3000), ("D2", 5000))
+        f.write_bytes(write_timetag_file(stream, "csv"))
+        argv = ["analyze", "--input", str(f), "--format", "csv"]
+        self.assert_unwritable_out(argv, tmp_path / "missing" / "x.csv", capsys)
+
+    def test_oracle_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COHERENT_SMALL)
+        argv = ["oracle", "--config", str(cfgfile)]
+        self.assert_unwritable_out(argv, tmp_path / "missing" / "x.csv", capsys)
+
+    def test_out_written_only_by_a_run_that_succeeds(self, tmp_path, capsys, monkeypatch):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(COHERENT_SMALL)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_text("kept\n")
+
+        def run_scenario(*args, **kwargs):
+            raise ConfigError("the run failed")
+
+        monkeypatch.setattr("coincsim.cli.run_scenario", run_scenario)
+        for out in (old, new):
+            assert main(["simulate", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+        assert old.read_text() == "kept\n" and not new.exists()
+        assert main(["oracle", "--config", str(cfgfile), "--out", str(old)]) == EXIT_OK
+        assert old.read_text() == "point,expected_alpha\n1,1\n"
+
 
 class TestEstimateShape:
-    def test_alpha_estimate_has_counts_in_results(self):
+    def test_overall_is_an_alpha_estimate(self):
         res = run_scenario(small_pdc_config())
-        (pt,) = res.points
-        assert pt.estimate.counts == pt.counts
         assert isinstance(res.overall, AlphaEstimate)
 
 
