@@ -245,8 +245,8 @@ def _scaled(source: SourceConfig, multiplier: float) -> SourceConfig:
 
 
 def _parse_value(section: str, key: str, v: str, type_):
-    """``v``, the value of ``[section] key``, parsed as ``type_``: str, int, float, an
-    Enum, ``X | None`` (parsed as X) or ``tuple[X, ...]`` (items split at whitespace or commas)."""
+    """``v``, the value of ``[section] key``, parsed as ``type_``: str, int, float, an Enum,
+    ``X | None`` (parsed as X) or ``tuple[X, ...]`` (whitespace- or comma-separated items)."""
     if get_origin(type_) is tuple:
         items = v.replace(",", " ").split()
         return tuple(_parse_value(section, key, item, get_args(type_)[0]) for item in items)
