@@ -6,7 +6,9 @@ is binary per gate and channel, which models a gated counter that latches on
 the first event in the window.  Each channel's hits are the sorted indices of
 the gates it fired in.  A sparse channel looks up each event's gate: periodic
 gates divide its time by their period, and search only where rounding of the
-openings misses; trigger gates binary-search every event.
+openings misses; trigger gates read it from a table over buckets of time,
+built once per count and shared by both channels, and search only the events
+whose bucket holds more than one opening after them.
 
 Two gate sources are supported: gates opened by trigger-channel events
 (heralded operation) and strictly periodic gates from a pulse generator.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -195,19 +197,56 @@ def _hits_by_gate(gates: GateList, times: np.ndarray) -> np.ndarray:
     return np.flatnonzero(after < gates.closes)
 
 
-def _hits_by_event(gates: GateList, times: np.ndarray) -> np.ndarray:
-    """Search every event into the openings; needs non-overlapping gates.
-    Periodic gates search only the events outside gate ``floor(t / period)``."""
+def _bucket_index(opens: np.ndarray) -> tuple[int, np.ndarray]:
+    """A shift s and a table ``last`` over buckets of 2**s ps from ``opens[0]``:
+    ``last[b]`` is the index of the last opening in bucket b or before it.
+
+    2**s is the largest power of two at most the span per gate, so there are
+    1 to 2 buckets per gate.  The table is built with no search.
+    """
+    span = int(opens[-1]) - int(opens[0])
+    shift = max(0, (span // len(opens)).bit_length() - 1)
+    bucket = np.subtract(opens.view(np.uint64), opens[:1].view(np.uint64))
+    bucket >>= np.uint64(shift)  # s >= 1 once the span reaches 2**63, so it fits int64
+    last = np.bincount(bucket.view(np.int64))
+    np.cumsum(last, out=last)
+    last -= 1
+    return shift, last
+
+
+def _hits_by_event(gates: GateList, times: np.ndarray, index=None) -> np.ndarray:
+    """Find each event's gate among non-overlapping gates, searching few events.
+
+    Periodic gates take gate ``floor(t / period)`` and search the events
+    outside it.  Trigger gates take the last opening of the event's bucket,
+    from ``index()`` or else a table built here, step back one opening where
+    that one follows the event, and search the events still before theirs.
+    """
     opens, window, period_ps = gates.opens, gates.window_ps, vars(gates).get("_period_ps")
     if period_ps is None:
-        idx = np.searchsorted(opens, times, side="right") - 1
+        shift, last = index() if index else _bucket_index(opens)
+        # t - opens[0] taken unsigned is exact from opens[0] on; an event
+        # before it lands past the table, and the steps below search it
+        bucket = np.subtract(times.view(np.uint64), opens[:1].view(np.uint64))
+        bucket >>= np.uint64(shift)
+        idx = last.take(bucket.view(np.int64), mode="clip")
+        since = np.subtract(times, opens.take(idx), out=bucket.view(np.int64))  # t - open
+        back = np.flatnonzero(since < 0)
+        prev = idx[back] - 1  # -1 at the first gate: the last opening, after the event
+        since_prev = times[back] - opens.take(prev)
+        miss = np.flatnonzero(since_prev < 0)
+        prev[miss] = np.searchsorted(opens, times[back[miss]], side="right") - 1
+        since_prev[miss] = times[back[miss]] - opens.take(prev[miss])
+        idx[back] = prev
+        since[back] = since_prev
     else:  # opening k is rint(k * period), so t / period can fall one gate short
         idx = (times / period_ps).astype(np.int64).clip(0, len(opens) - 1)
-        miss = np.flatnonzero((times - opens[idx]).view(np.uint64) >= window)
+        since = times - opens[idx]
+        miss = np.flatnonzero(since.view(np.uint64) >= window)
         idx[miss] = np.searchsorted(opens, times[miss], side="right") - 1
-    # 0 <= t - open < window as one unsigned comparison; at idx -1 the last
-    # opening lies after the event
-    inside = (times - opens[idx]).view(np.uint64) < window
+        since[miss] = times[miss] - opens[idx[miss]]
+    # 0 <= t - open < window as one unsigned comparison
+    inside = since.view(np.uint64) < window
     # compress, not a boolean index: a random mask defeats branch prediction.
     hits = idx.compress(inside)  # sorted, as the events are
     first = np.ones(len(hits), dtype=bool)  # one index per gate
@@ -215,14 +254,14 @@ def _hits_by_event(gates: GateList, times: np.ndarray) -> np.ndarray:
     return hits.compress(first)
 
 
-def _gate_hits(gates: GateList, times: np.ndarray) -> np.ndarray:
+def _gate_hits(gates: GateList, times: np.ndarray, index=None) -> np.ndarray:
     """Sorted indices of the gates whose [open, close) holds an event.
 
     Sparse channels search their few events into the gates instead of the
     gates into the events; without overlap both give the same answer.
     """
     if len(times) < len(gates) and gates.disjoint:
-        return _hits_by_event(gates, times)
+        return _hits_by_event(gates, times, index)
     return _hits_by_gate(gates, times)
 
 
@@ -233,8 +272,10 @@ def count_gates(gates: GateList, d1: EventStream, d2: EventStream) -> CountSumma
     once.  A coincidence is a gate in which both channels fired, regardless
     of their order inside the window.
     """
-    h1 = _gate_hits(gates, d1.times)
-    h2 = _gate_hits(gates, d2.times)
+    # trigger gates' bucket index: built by the first channel that looks it up
+    index = cache(lambda: _bucket_index(gates.opens))
+    h1 = _gate_hits(gates, d1.times, index)
+    h2 = _gate_hits(gates, d2.times, index)
     fired1 = np.zeros(len(gates), dtype=bool)
     fired1[h1] = True
     return CountSummary(

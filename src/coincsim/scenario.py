@@ -358,11 +358,9 @@ def serialize_config(config: ScenarioConfig) -> str:
 @dataclass(frozen=True)
 class PointResult:
     point: int  # 1-based sweep index
-    multiplier: float
     seconds: float
     rate_trigger_cps: float
     rate_d1_cps: float
-    rate_d2_cps: float
     rate_cps: float  # canonical rate axis for this source kind
     counts: CountSummary
     estimate: AlphaEstimate
@@ -382,7 +380,6 @@ class _AcqTotals:
     counts: CountSummary
     trigger_events: int
     d1_events: int
-    d2_events: int
 
     def __add__(self, other: "_AcqTotals") -> "_AcqTotals":
         return _AcqTotals(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
@@ -425,7 +422,7 @@ def _acquire_pdc(config, source: PdcSourceConfig, seed, gates: None) -> _AcqTota
     del paths
     trig_gates = make_gates_from_trigger(trig_ev, config.window_ps, config.gate_policy)
     counts = count_gates(trig_gates, d1_ev, d2_ev)
-    return _AcqTotals(counts, len(trig_ev), len(d1_ev), len(d2_ev))
+    return _AcqTotals(counts, len(trig_ev), len(d1_ev))
 
 
 def _acquire_coherent(config, source: CoherentSourceConfig, seed, gates: GateList) -> _AcqTotals:
@@ -449,7 +446,7 @@ def _detect_and_count(config, seed, gates: GateList, b1, b2) -> _AcqTotals:
     d1_ev = detect(b1, config.d1, seed("det-d1"))
     d2_ev = detect(b2, config.d2, seed("det-d2"))
     counts = count_gates(gates, d1_ev, d2_ev)
-    return _AcqTotals(counts, len(gates), *(len(ev) + ev.unplaced for ev in (d1_ev, d2_ev)))
+    return _AcqTotals(counts, len(gates), len(d1_ev) + d1_ev.unplaced)
 
 
 def _acquire_wave(config, source: ClassicalWaveConfig, seed, gates: None) -> _AcqTotals:
@@ -459,7 +456,7 @@ def _acquire_wave(config, source: ClassicalWaveConfig, seed, gates: None) -> _Ac
     f1 = np.random.default_rng(seed("fire1")).random(n_gates) < p1
     f2 = np.random.default_rng(seed("fire2")).random(n_gates) < p2
     n1, n2, nc = (int(np.count_nonzero(f)) for f in (f1, f2, f1 & f2))
-    return _AcqTotals(CountSummary(n_gates, n1, n2, nc), n_gates, n1, n2)
+    return _AcqTotals(CountSummary(n_gates, n1, n2, nc), n_gates, n1)
 
 
 def run_point(config: ScenarioConfig, point_index: int, *, jobs: int = 1) -> _AcqTotals:
@@ -486,20 +483,17 @@ def run_point(config: ScenarioConfig, point_index: int, *, jobs: int = 1) -> _Ac
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     """Run every sweep point and combine the selected points."""
     points: list[PointResult] = []
-    for idx, multiplier in enumerate(config.multipliers, start=1):
+    for idx in range(1, len(config.multipliers) + 1):
         totals = run_point(config, idx, jobs=jobs)
         seconds = config.acquisitions_for(idx) * config.acquisition_duration_ps * 1e-12
         est = alpha_estimate(totals.counts)
-        events = (totals.trigger_events, totals.d1_events, totals.d2_events)
-        trig_rate, d1_rate, d2_rate = (n / seconds for n in events)
+        trig_rate, d1_rate = totals.trigger_events / seconds, totals.d1_events / seconds
         points.append(
             PointResult(
                 point=idx,
-                multiplier=multiplier,
                 seconds=seconds,
                 rate_trigger_cps=trig_rate,
                 rate_d1_cps=d1_rate,
-                rate_d2_cps=d2_rate,
                 # Heralded runs sweep the trigger rate; the others the
                 # singles rate (a gate generator never changes).
                 rate_cps=trig_rate if _KINDS[config.kind].gating is Gating.TRIGGER else d1_rate,

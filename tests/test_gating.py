@@ -18,7 +18,7 @@ from coincsim.gating import (
     make_gates_from_trigger,
     make_gates_periodic,
 )
-from coincsim.gating import _gate_hits, _hits_by_event, _hits_by_gate
+from coincsim.gating import _gate_hits, _gates, _hits_by_event, _hits_by_gate
 
 from stat_helpers import stream_of
 
@@ -418,3 +418,93 @@ class TestPeriodicCandidate:
             assert _hits_by_event(gates, one).tolist() == ([0] if t < 7 * NS else [])
         c = count_gates(gates, estream(times[1:], Channel.D1), estream(times[2:], Channel.D2))
         assert c == CountSummary(n_gates=1, n1=1, n2=0, nc=0)
+
+
+@st.composite
+def trigger_gates_and_events(draw):
+    """Disjoint openings, clustered or far apart, anywhere in int64, and events
+    on and around their edges."""
+    window = draw(st.integers(1, 50))
+    # gaps past the window: a few ps (many openings to a bucket) or up to 1 us
+    # (empty buckets between them)
+    gaps = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**6)), max_size=30))
+    rel = np.cumsum([0] + [window + g for g in gaps]).tolist()
+    top = 2**63 - 1 - window - rel[-1]  # the last gate closes at 2**63 - 1
+    first = draw(st.sampled_from([0, 2**62, -(2**62), -(2**63), top]))
+    first = min(first + draw(st.integers(0, 99)), top)
+    opens = [first + r for r in rel]
+    lo, hi = opens[0], opens[-1] + window
+    # at the opening, the last tick inside, the close and the tick before
+    edges = [o + d for o in opens for d in (-1, 0, window - 1, window)]
+    beyond = [lo - d for d in (1, 10**7)] + [hi + d for d in (1, 10**7)]
+    times = draw(st.lists(st.sampled_from(edges + beyond), max_size=30))
+    times += draw(st.lists(st.integers(lo, hi), max_size=10))
+    times = sorted(t for t in times if -(2**63) <= t < 2**63)
+    return _gates(window, np.array(opens), disjoint=True), np.array(times, dtype=np.int64)
+
+
+class TestTriggerBucketIndex:
+    """Trigger gates find each event's gate through a bucket index, then by search."""
+
+    @given(trigger_gates_and_events(), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_hits_match_brute_force(self, case, seed):
+        gates, times = case
+        expected = brute_force_hits(gates, times)
+        np.testing.assert_array_equal(_hits_by_event(gates, times), expected)
+        np.testing.assert_array_equal(_gate_hits(gates, times), expected)
+        rng = np.random.default_rng(derive_seed(seed, 0, "half"))
+        half = times[rng.random(len(times)) < 0.5]
+        d1, d2 = estream(times, Channel.D1), estream(half, Channel.D2)
+        fired = set(expected) & set(brute_force_hits(gates, half))
+        n2 = len(brute_force_hits(gates, half))
+        assert count_gates(gates, d1, d2) == CountSummary(len(gates), len(expected), n2, len(fired))
+
+    def test_openings_across_int64(self):
+        # a span past 2**63: t - opens[0] is exact only when taken unsigned
+        window = 10
+        opens = [-(2**63), -(2**62) - 5, -3, 0, 2**62, 2**63 - 1 - window]
+        gates = _gates(window, np.array(opens), disjoint=True)
+        edges = [o + d for o in opens for d in (-1, 0, window - 1, window)]
+        times = np.array(sorted(t for t in edges if t >= -(2**63)), dtype=np.int64)
+        assert _hits_by_event(gates, times).tolist() == list(range(len(opens)))
+        np.testing.assert_array_equal(_gate_hits(gates, times), brute_force_hits(gates, times))
+        # events before the first opening, as far before as int64 goes
+        later = _gates(window, np.array(opens[1:]), disjoint=True)
+        before = np.array([-(2**63), -(2**62) - 6], dtype=np.int64)
+        assert _hits_by_event(later, before).tolist() == []
+
+    def test_single_gate(self):
+        gates = _gates(7, np.array([2**62]), disjoint=True)
+        times = 2**62 + np.array([-(2**62), -1, 0, 6, 7, 2**61], dtype=np.int64)
+        assert _hits_by_event(gates, times).tolist() == [0]
+        for t in times:
+            inside = 0 <= t - 2**62 < 7
+            assert _hits_by_event(gates, np.array([t])).tolist() == ([0] if inside else [])
+
+    def test_many_openings_to_a_bucket_and_empty_buckets(self):
+        # nine gates 10 ps apart, then one 10**6 ps on: most buckets are empty
+        opens = np.append(np.arange(9) * 10, 10**6)
+        gates = _gates(10, opens, disjoint=True)
+        shift, last = gating._bucket_index(opens)
+        assert len(last) <= 2 * len(opens) and np.count_nonzero(np.diff(last)) < len(last) // 2
+        times = np.array([-5, 0, 9, 10, 45, 89, 90, 5000, 10**6 - 1, 10**6 + 9, 10**6 + 10])
+        assert _hits_by_event(gates, times).tolist() == [0, 1, 4, 8, 9]
+
+    def test_table_built_once_per_count_and_never_for_periodic_gates(self, monkeypatch):
+        built = []
+        index = gating._bucket_index
+        monkeypatch.setattr(gating, "_bucket_index", lambda opens: built.append(1) or index(opens))
+        trigger = make_gates_from_trigger(estream(np.arange(0, 10**6, 1000), Channel.TRIGGER), 7)
+        d1 = estream(np.arange(0, 10**6, 3001), Channel.D1)
+        d2 = estream(np.arange(0, 10**6, 1999), Channel.D2)
+        assert count_gates(trigger, d1, d2).n1 > 0
+        assert len(built) == 1  # shared by both channels
+        dense = estream(np.arange(0, 10**6, 500), Channel.D2)
+        count_gates(trigger, d1, dense)
+        assert len(built) == 2  # one channel looks it up
+        count_gates(trigger, dense, dense)
+        assert len(built) == 2  # neither does
+        periodic = make_gates_periodic(1e9, 10**6, 7)  # 1000 gates 1 ns apart
+        assert count_gates(periodic, d1, d2).n1 > 0
+        assert len(built) == 2  # division needs no table

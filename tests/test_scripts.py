@@ -4,6 +4,7 @@ end to end on a tiny input."""
 import importlib.util
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -34,14 +35,27 @@ def run_python(*args):
     )
 
 
-def run_script(name, *args):
-    return run_python(str(REPO_ROOT / "scripts" / name), *args)
+@pytest.fixture
+def checkout(tmp_path_factory):
+    """A git checkout of this tree, which ``scripts/bench.py`` needs: the
+    repository itself, or outside one a throwaway repository of its files."""
+    top = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel"], cwd=REPO_ROOT, capture_output=True, text=True
+    )
+    if top.returncode == 0 and Path(top.stdout.strip()).resolve() == REPO_ROOT:
+        return REPO_ROOT
+    root = tmp_path_factory.mktemp("checkout")
+    shutil.copytree(REPO_ROOT, root, dirs_exist_ok=True)
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for args in (["init", "-q"], ["add", "-A"], [*identity, "commit", "-q", "-m", "checkout"]):
+        subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+    return root
 
 
-def bench_worktrees():
+def bench_worktrees(checkout):
     """The bench's base and head worktrees that git still lists."""
     out = subprocess.run(
-        ["git", "worktree", "list", "--porcelain"], cwd=REPO_ROOT, capture_output=True, text=True
+        ["git", "worktree", "list", "--porcelain"], cwd=checkout, capture_output=True, text=True
     ).stdout
     return [
         line.split(" ", 1)[1]
@@ -104,10 +118,11 @@ def bench_dirs():
     return set(Path(tempfile.gettempdir()).glob("coincsim-bench-*"))
 
 
-def test_bench_writes_record(tmp_path):
+def test_bench_writes_record(tmp_path, checkout):
     dirs_before = bench_dirs()
-    proc = run_script(
-        "bench.py", "--base", "HEAD", "--label", "smoke", "--seeds", "1", "--seconds", "0.5",
+    proc = run_python(
+        str(checkout / "scripts" / "bench.py"), "--base", "HEAD", "--label", "smoke",
+        "--seeds", "1", "--seconds", "0.5",
         "--workload", "gated_coherent", "--out-dir", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
@@ -143,7 +158,7 @@ def test_bench_writes_record(tmp_path):
         assert len(pair["ratios"]) == 1 and pair["median_ratio"] == pair["ratios"][0] > 0
         assert pair["head_won"] in (0, 1)
     # both worktrees are gone again, with their directory
-    assert bench_worktrees() == []
+    assert bench_worktrees(checkout) == []
     assert bench_dirs() == dirs_before
     # with --workload the record does not run Tier-1 (this test) again
     assert "suite" not in record
@@ -158,10 +173,10 @@ def wait_for(condition, proc, seconds=120):
 
 
 @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(), reason="lists processes in /proc")
-def test_bench_stopped_by_sigterm_cleans_up(tmp_path):
+def test_bench_stopped_by_sigterm_cleans_up(tmp_path, checkout):
     proc = subprocess.Popen(
         [
-            sys.executable, str(REPO_ROOT / "scripts" / "bench.py"), "--base", "HEAD",
+            sys.executable, str(checkout / "scripts" / "bench.py"), "--base", "HEAD",
             "--label", "stopped", "--seeds", "1", "--seconds", "0.5",
             "--workload", "gated_coherent", "--out-dir", str(tmp_path),
         ],
@@ -169,8 +184,8 @@ def test_bench_stopped_by_sigterm_cleans_up(tmp_path):
     )
     base, head, started = None, None, []
     try:
-        wait_for(lambda: len(bench_worktrees()) == 2, proc)
-        base, head = sorted(bench_worktrees())  # .../base, .../head
+        wait_for(lambda: len(bench_worktrees(checkout)) == 2, proc)
+        base, head = sorted(bench_worktrees(checkout))  # .../base, .../head
         # stop it while the base tree's harness runs a worker (seed 1 runs base first)
         wait_for(lambda: processes_running(f"{base}/benchmark/worker.py"), proc)
         started = processes_running(base)
@@ -189,6 +204,6 @@ def test_bench_stopped_by_sigterm_cleans_up(tmp_path):
     assert proc.returncode == 128 + signal.SIGTERM
     assert len(started) >= 2  # benchmark/run.py and its worker
     assert left == [], "a benchmark process outlived the record"
-    assert bench_worktrees() == []
+    assert bench_worktrees(checkout) == []
     assert not Path(base).exists() and not Path(head).exists()
     assert not (tmp_path / "BENCH_stopped.json").exists()
