@@ -35,7 +35,7 @@ def run_python(*args):
     )
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def checkout(tmp_path_factory):
     """A git checkout of this tree, which ``scripts/bench.py`` needs: the
     repository itself, or outside one a throwaway repository of its files."""
