@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="scenario configuration file")
     sim.add_argument("--out", default="-", help="results CSV path ('-' for stdout)")
     sim.add_argument("--seed", type=int, default=None, help="override run.master_seed")
-    sim.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sim.add_argument("--jobs", type=int, default=1, help="parallel worker processes (at most one per core)")
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="gate and count a time-tag file")

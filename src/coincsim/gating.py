@@ -122,6 +122,8 @@ def gate_period_ps(rate_hz: float, window_ps: int) -> float:
     if not (rate_hz > 0) or not np.isfinite(rate_hz):
         raise ConfigError("run.gate_rate_hz must be finite and > 0")
     period_ps = 1e12 / rate_hz
+    if not np.isfinite(period_ps):
+        raise ConfigError(f"run.gate_rate_hz ({rate_hz!r} Hz) is too low: its period overflows")
     # Rounding moves each opening by <= 0.5 ps, so openings lie >= period - 1 ps
     # apart: a window at most that long never overlaps the next gate.
     if window_ps > period_ps - 1:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import astuple, dataclass, fields, replace
 from enum import Enum
 from functools import partial
@@ -75,7 +76,6 @@ from .sources import (
     Arm,
     ClassicalWaveConfig,
     CoherentSourceConfig,
-    Gating,
     PdcSourceConfig,
     SourceKind,
     ThermalSourceConfig,
@@ -155,40 +155,20 @@ class ScenarioConfig:
             # a config file would read these as a comment or drop the whitespace
             raise ConfigError("run.label must not hold '#' or ';' or leading/trailing whitespace")
         kind = _KINDS[self.kind]
-        gating = kind.gating
-        if gating is Gating.TRIGGER:
-            if self.gate_rate_hz is not None:
-                raise ConfigError(
-                    "run.gate_rate_hz does not apply to a heralded source: "
-                    "gates open on trigger detections"
-                )
-            object.__setattr__(self, "trigger", self.trigger or default_detector(Channel.TRIGGER))
-        elif self.trigger is not None:
-            raise ConfigError("[detector.trigger] only applies to the heralded source")
-        elif gating is Gating.PER_GATE:
-            if self.gate_rate_hz is not None:
-                raise ConfigError(
-                    "run.gate_rate_hz does not apply to the wave model: "
-                    "trials come from source.herald_rate_hz"
-                )
-            if self.d1 is not None or self.d2 is not None:
-                raise ConfigError(
-                    "the per-gate wave model draws detections directly; "
-                    "[detector.d1]/[detector.d2] sections do not apply"
-                )
-        else:
-            if self.gate_rate_hz is None:
-                raise ConfigError(f"run.gate_rate_hz is required for kind={self.kind.value}")
+        if (self.gate_rate_hz is not None) != kind.periodic:
+            need = "is required" if kind.periodic else "does not apply"
+            raise ConfigError(f"run.gate_rate_hz {need} for kind={self.kind.value}")
+        if kind.periodic:
             gate_period_ps(self.gate_rate_hz, self.window_ps)
-
-        if gating is not Gating.PER_GATE:
-            object.__setattr__(self, "d1", self.d1 or default_detector(Channel.D1))
-            object.__setattr__(self, "d2", self.d2 or default_detector(Channel.D2))
-            for det, name in ((self.trigger, "trigger"), (self.d1, "d1"), (self.d2, "d2")):
-                if det is not None and int(det.channel) != int(_SECTION_CHANNEL[name]):
-                    raise ConfigError(
-                        f"[detector.{name}] was built for channel {det.channel.name}"
-                    )
+        for name, channel in _SECTION_CHANNEL.items():
+            det = getattr(self, name)
+            if name not in kind.detectors:
+                if det is not None:
+                    raise ConfigError(f"[detector.{name}] does not apply to kind={self.kind.value}")
+            elif det is None:
+                object.__setattr__(self, name, default_detector(channel))
+            elif int(det.channel) != int(channel):
+                raise ConfigError(f"[detector.{name}] was built for channel {det.channel.name}")
 
         if not self.multipliers:
             raise ConfigError("sweep.multipliers must not be empty")
@@ -359,16 +339,13 @@ def serialize_config(config: ScenarioConfig) -> str:
 class PointResult:
     point: int  # 1-based sweep index
     seconds: float
-    rate_trigger_cps: float
-    rate_d1_cps: float
-    rate_cps: float  # canonical rate axis for this source kind
+    rate_cps: float  # the rate axis of this source kind (see _AcqTotals.rate_events)
     counts: CountSummary
     estimate: AlphaEstimate
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    kind: SourceKind
     points: tuple[PointResult, ...]
     overall: AlphaEstimate
     overall_point_ids: tuple[int, ...]
@@ -378,8 +355,9 @@ class ScenarioResult:
 @dataclass(frozen=True)
 class _AcqTotals:
     counts: CountSummary
-    trigger_events: int
-    d1_events: int
+    # The events behind the kind's rate axis: heralded runs sweep the trigger
+    # rate, the others the singles rate of d1 (a gate generator never changes).
+    rate_events: int
 
     def __add__(self, other: "_AcqTotals") -> "_AcqTotals":
         return _AcqTotals(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
@@ -422,7 +400,7 @@ def _acquire_pdc(config, source: PdcSourceConfig, seed, gates: None) -> _AcqTota
     del paths
     trig_gates = make_gates_from_trigger(trig_ev, config.window_ps, config.gate_policy)
     counts = count_gates(trig_gates, d1_ev, d2_ev)
-    return _AcqTotals(counts, len(trig_ev), len(d1_ev))
+    return _AcqTotals(counts, len(trig_ev))
 
 
 def _acquire_coherent(config, source: CoherentSourceConfig, seed, gates: GateList) -> _AcqTotals:
@@ -446,7 +424,7 @@ def _detect_and_count(config, seed, gates: GateList, b1, b2) -> _AcqTotals:
     d1_ev = detect(b1, config.d1, seed("det-d1"))
     d2_ev = detect(b2, config.d2, seed("det-d2"))
     counts = count_gates(gates, d1_ev, d2_ev)
-    return _AcqTotals(counts, len(gates), len(d1_ev) + d1_ev.unplaced)
+    return _AcqTotals(counts, len(d1_ev) + d1_ev.unplaced)
 
 
 def _acquire_wave(config, source: ClassicalWaveConfig, seed, gates: None) -> _AcqTotals:
@@ -456,7 +434,7 @@ def _acquire_wave(config, source: ClassicalWaveConfig, seed, gates: None) -> _Ac
     f1 = np.random.default_rng(seed("fire1")).random(n_gates) < p1
     f2 = np.random.default_rng(seed("fire2")).random(n_gates) < p2
     n1, n2, nc = (int(np.count_nonzero(f)) for f in (f1, f2, f1 & f2))
-    return _AcqTotals(CountSummary(n_gates, n1, n2, nc), n_gates, n1)
+    return _AcqTotals(CountSummary(n_gates, n1, n2, nc), n1)
 
 
 def run_point(config: ScenarioConfig, point_index: int, *, jobs: int = 1) -> _AcqTotals:
@@ -472,8 +450,10 @@ def run_point(config: ScenarioConfig, point_index: int, *, jobs: int = 1) -> _Ac
     indices = range(config.acquisitions_for(point_index))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~18 ms to import; only for a pool
-        chunk = max(1, len(indices) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts every worker at the first submit: no more than the cores
+        workers = min(jobs, os.cpu_count() or 1)
+        chunk = max(1, len(indices) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, indices, chunksize=chunk))
     else:
         parts = [worker(i) for i in indices]
@@ -487,16 +467,11 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         totals = run_point(config, idx, jobs=jobs)
         seconds = config.acquisitions_for(idx) * config.acquisition_duration_ps * 1e-12
         est = alpha_estimate(totals.counts)
-        trig_rate, d1_rate = totals.trigger_events / seconds, totals.d1_events / seconds
         points.append(
             PointResult(
                 point=idx,
                 seconds=seconds,
-                rate_trigger_cps=trig_rate,
-                rate_d1_cps=d1_rate,
-                # Heralded runs sweep the trigger rate; the others the
-                # singles rate (a gate generator never changes).
-                rate_cps=trig_rate if _KINDS[config.kind].gating is Gating.TRIGGER else d1_rate,
+                rate_cps=totals.rate_events / seconds,
                 counts=totals.counts,
                 estimate=est,
             )
@@ -504,7 +479,6 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     ids = config.overall_points or tuple(range(1, len(points) + 1))
     overall = weighted_mean([points[i - 1].estimate for i in ids])
     return ScenarioResult(
-        kind=config.kind,
         points=tuple(points),
         overall=overall,
         overall_point_ids=tuple(ids),
@@ -599,7 +573,8 @@ def _elements_wave(config: ScenarioConfig, source: ClassicalWaveConfig) -> _Elem
 class _Kind(NamedTuple):
     config: type
     rate_field: str  # the source field a sweep multiplier scales
-    gating: Gating  # how its gates open
+    detectors: tuple[str, ...]  # the [detector.*] sections it reads
+    periodic: bool  # whether run.gate_rate_hz opens its gates
     acquire: Callable[..., _AcqTotals]  # (config, source, seed of a stage, periodic gates)
     predict: Callable[[ScenarioConfig, SourceConfig], float]
     elements: Callable[[ScenarioConfig, SourceConfig], _Elements]
@@ -610,19 +585,19 @@ class _Kind(NamedTuple):
 # patching one of those names reaches every kind.
 _KINDS = {
     SourceKind.PDC: _Kind(
-        PdcSourceConfig, "pair_rate_hz", Gating.TRIGGER,
+        PdcSourceConfig, "pair_rate_hz", ("trigger", "d1", "d2"), False,
         _acquire_pdc, _predict_pdc, _elements_pdc,
     ),
     SourceKind.COHERENT: _Kind(
-        CoherentSourceConfig, "mean_rate_hz", Gating.GENERATOR,
+        CoherentSourceConfig, "mean_rate_hz", ("d1", "d2"), True,
         _acquire_coherent, lambda config, source: 1.0, _elements_coherent,
     ),
     SourceKind.THERMAL: _Kind(
-        ThermalSourceConfig, "mean_rate_hz", Gating.GENERATOR,
+        ThermalSourceConfig, "mean_rate_hz", ("d1", "d2"), True,
         _acquire_thermal, _predict_thermal, _elements_thermal,
     ),
     SourceKind.CLASSICAL_WAVE: _Kind(
-        ClassicalWaveConfig, "per_gate_intensity_mean", Gating.PER_GATE,
+        ClassicalWaveConfig, "per_gate_intensity_mean", (), False,
         _acquire_wave, lambda config, source: expected_alpha_classical_wave(source),
         _elements_wave,
     ),

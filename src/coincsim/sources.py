@@ -72,9 +72,10 @@ exact up to the picosecond tick.  Every other case uses the whole interval
 
 Each source config class states its ``kind``.  The other facts the
 scenario runner needs about a kind (its config class, the field a sweep
-multiplier scales, how its gates open, and how one acquisition runs, what
-alpha it predicts and which arrays it builds) are one row of the table
-``_KINDS`` in ``coincsim.scenario``.
+multiplier scales, the ``[detector.*]`` sections it reads, whether a gate
+generator opens its gates, and how one acquisition runs, what alpha it
+predicts and which arrays it builds) are one row of the table ``_KINDS`` in
+``coincsim.scenario``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ __all__ = [
     "ArrivalStream",
     "ClassicalWaveConfig",
     "CoherentSourceConfig",
-    "Gating",
     "IntensityLaw",
     "PdcSourceConfig",
     "SourceKind",
@@ -125,14 +125,6 @@ class SourceKind(Enum):
     COHERENT = "coherent"
     THERMAL = "thermal"
     CLASSICAL_WAVE = "classical_wave"
-
-
-class Gating(Enum):
-    """How a source's gates open."""
-
-    TRIGGER = "trigger"  # on detected trigger photons
-    GENERATOR = "generator"  # from a periodic pulse generator (run.gate_rate_hz)
-    PER_GATE = "per_gate"  # the source draws each gate's detections itself
 
 
 def _require(cond: bool, message: str) -> None:

@@ -109,7 +109,7 @@ def test_criterion_3_coherent_light():
     (pt,) = result.points
     alpha, sigma = pt.estimate.alpha, pt.estimate.sigma
     ok = sigma <= 0.01 and abs(alpha - 1.0) <= 3 * sigma
-    detail = f"alpha={alpha:.4f}±{sigma:.4f} at {pt.rate_d1_cps / 1e6:.2f} Mcps per arm"
+    detail = f"alpha={alpha:.4f}±{sigma:.4f} at {pt.rate_cps / 1e6:.2f} Mcps per arm"
     _verdict(3, ok, detail)
     assert sigma <= 0.01, detail
     assert abs(alpha - 1.0) <= 3 * sigma, detail

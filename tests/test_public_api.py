@@ -11,6 +11,7 @@ calling ``select_arm`` and ``cli analyze`` must keep calling
 import ast
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,12 @@ def test_worker_import_exists(name):
     # ``from coincsim import name`` binds a package attribute, else a submodule
     if not hasattr(coincsim, name):
         importlib.import_module(f"coincsim.{name}")
+
+
+@pytest.mark.parametrize("module_name", [m.name for m in pkgutil.iter_modules(coincsim.__path__)])
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(f"coincsim.{module_name}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
 
 def test_one_stream_class():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -17,13 +18,14 @@ from coincsim.detectors import DetectorConfig
 from coincsim.errors import ConfigError
 from coincsim.estimators import AlphaEstimate
 from coincsim.events import Channel
-from coincsim.gating import GatePolicy
+from coincsim.gating import GatePolicy, make_gates_periodic
 from coincsim.scenario import (
     _RUN_SECTIONS,
     _SECTION_CHANNEL,
     RESULTS_HEADER,
     ScenarioConfig,
     SourceKind,
+    default_detector,
     emit_results_csv,
     oracle_per_point,
     parse_config,
@@ -59,6 +61,25 @@ mean_rate_hz = 1e10
 [run]
 gate_rate_hz = 65000
 """
+
+# The [source] keys of one valid source of each kind, the [detector.*]
+# sections each kind reads, and the kinds whose gates a generator opens.
+KIND_SOURCE = {
+    SourceKind.PDC: "pair_rate_hz = 1e6",
+    SourceKind.COHERENT: "mean_rate_hz = 1e6",
+    SourceKind.THERMAL: "mean_rate_hz = 1e6\ncoherence_time_ps = 100000",
+    SourceKind.CLASSICAL_WAVE: "herald_rate_hz = 1000\nper_gate_intensity_mean = 0.05",
+}
+KIND_READS = {
+    SourceKind.PDC: ("trigger", "d1", "d2"),
+    SourceKind.COHERENT: ("d1", "d2"),
+    SourceKind.THERMAL: ("d1", "d2"),
+    SourceKind.CLASSICAL_WAVE: (),
+}
+GENERATOR_GATED = (SourceKind.COHERENT, SourceKind.THERMAL)
+DETECTOR_SUBSETS = [
+    c for n in range(4) for c in itertools.combinations(("trigger", "d1", "d2"), n)
+]
 
 COHERENT_SMALL = """
 [source]
@@ -247,6 +268,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="window"):
             parse_config(text)
 
+    def test_gate_period_past_float_range_rejected(self):
+        # 1e12 / 1e-300 overflows to inf: no period to place the openings on
+        text = "[source]\nkind = coherent\nmean_rate_hz = 1e6\n[run]\ngate_rate_hz = 1e-300\n"
+        with pytest.raises(ConfigError, match="run.gate_rate_hz"):
+            parse_config(text)
+        with pytest.raises(ConfigError, match="run.gate_rate_hz"):
+            make_gates_periodic(1e-300, 10**9, 7000)
+
     def test_window_within_a_tick_of_the_gate_period_rejected(self):
         # rounded openings could land one tick closer than this window
         rate_hz = 117.38745385916434
@@ -293,6 +322,38 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="linear"):
             parse_config(text)
+
+    @pytest.mark.parametrize("sections", DETECTOR_SUBSETS, ids=lambda s: "+".join(s) or "none")
+    @pytest.mark.parametrize("gate_rate", [False, True], ids=["no_gate_rate", "gate_rate"])
+    @pytest.mark.parametrize("kind", list(SourceKind), ids=lambda k: k.value)
+    def test_kind_detector_and_gate_rate_consistency(self, kind, gate_rate, sections):
+        text = f"[source]\nkind = {kind.value}\n{KIND_SOURCE[kind]}\n"
+        if gate_rate:
+            text += "[run]\ngate_rate_hz = 65000\n"
+        for name in sections:
+            text += f"[detector.{name}]\nefficiency = 0.9\n"
+        reads = KIND_READS[kind]
+        faults = [f"[detector.{name}]" for name in sections if name not in reads]
+        if gate_rate != (kind in GENERATOR_GATED):
+            faults.append("run.gate_rate_hz")
+        if faults:
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            if len(faults) == 1:
+                assert faults[0] in str(err.value)
+            return
+        cfg = parse_config(text)
+        for name, channel in _SECTION_CHANNEL.items():
+            expected = None
+            if name in sections:
+                expected = dataclasses.replace(default_detector(channel), efficiency=0.9)
+            elif name in reads:
+                expected = default_detector(channel)
+            assert getattr(cfg, name) == expected
+
+    def test_detector_built_for_another_channel_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("[detector.d1] was built for channel D2")):
+            ScenarioConfig(source=PdcSourceConfig(pair_rate_hz=1e6), d1=DetectorConfig(Channel.D2))
 
     def test_trigger_section_rejected_for_coherent(self):
         text = COHERENT_SMALL + "\n[detector.trigger]\nefficiency = 0.4\n"
@@ -438,6 +499,31 @@ class TestRunning:
         assert serial.counts.n1 > 0 and serial.counts.n2 > 0
         assert run_point(cfg, 1, jobs=2) == serial
 
+    def test_worker_pool_capped_at_core_count(self, monkeypatch):
+        # an in-process stand-in for the pool: no process is started
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = small_pdc_config()
+        assert run_point(cfg, 1, jobs=10**6) == run_point(cfg, 1, jobs=1)
+        assert asked == [2]
+
     def test_import_leaves_the_process_pool_out(self):
         """``import coincsim`` does not load the process pool; ``jobs=2`` loads it when it runs."""
         code = (
@@ -460,7 +546,6 @@ class TestRunning:
     def test_coherent_scenario_runs(self):
         cfg = parse_config(COHERENT_SMALL)
         res = run_scenario(cfg)
-        assert res.kind is SourceKind.COHERENT
         (pt,) = res.points
         assert pt.counts.n_gates == 3 * 1000  # 1 MHz gates over 1 ms x 3 acqs
         assert pt.rate_cps > 0
@@ -500,9 +585,8 @@ class TestRunning:
         cfg = small_pdc_config()
         res = run_scenario(cfg)
         (pt,) = res.points
-        assert pt.rate_cps == pt.rate_trigger_cps
-        # 2 MHz pairs at 40% trigger efficiency: ~800 kcps
-        assert pt.rate_trigger_cps == pytest.approx(8e5, rel=0.2)
+        # 2 MHz pairs at 40% trigger efficiency: ~800 kcps (d1 sees ~500 kcps)
+        assert pt.rate_cps == pytest.approx(8e5, rel=0.2)
 
 
 class TestOraclePerPoint:
